@@ -126,7 +126,7 @@ EvolveApp::thread(Mem &m, int tid)
 
         // The walk's endpoint fitness only feeds a thread-local max;
         // no shared state decides control flow here, which keeps the
-        // op stream portable across machine models.
+        // reference stream the same on every machine model.
         Word end_fit = co_await m.read(fitness.at(cur));
         if (end_fit > my_best)
             my_best = end_fit;

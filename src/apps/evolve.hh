@@ -11,9 +11,9 @@
  * The fitness table is written once in setup() and only read during
  * the run, so every walk is a pure function of (params, nodes, tid);
  * the global best is combined through per-thread slots, a hardware
- * barrier, and a thread-0 reduction. That keeps the op stream
- * trace-portable (registry tracePortable contract) -- no lock whose
- * acquisition order would depend on timing.
+ * barrier, and a thread-0 reduction -- no lock whose acquisition
+ * order would depend on timing, so the reference stream is the same
+ * under every protocol and machine model.
  */
 
 #ifndef SWEX_APPS_EVOLVE_HH

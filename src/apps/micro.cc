@@ -37,8 +37,8 @@ MicroApp::stepWork(int tid, int it) const
     if (cfg.jitter == 0)
         return cfg.workCycles;
     // splitmix64 over (jitter, tid, iteration): deterministic for a
-    // given parameter set, so the op stream stays trace-portable
-    // while every jitter value is a distinct interleaving.
+    // given parameter set, while every jitter value is a distinct
+    // interleaving.
     std::uint64_t h = cfg.jitter +
                       (static_cast<std::uint64_t>(tid) << 32) +
                       static_cast<std::uint64_t>(it) +

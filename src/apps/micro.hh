@@ -17,8 +17,8 @@
  * All three are controlled experiments like WORKER: hardware-barrier
  * sync only, static reference streams, and an optional `jitter`
  * parameter that perturbs per-step compute as a pure function of
- * (jitter, tid, iteration) -- so they are trace-portable and every
- * stress seed is a distinct but reproducible interleaving.
+ * (jitter, tid, iteration) -- so every stress seed is a distinct but
+ * reproducible interleaving.
  */
 
 #ifndef SWEX_APPS_MICRO_HH

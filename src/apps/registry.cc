@@ -206,8 +206,7 @@ AppRegistry::AppRegistry()
              r.finish();
              return std::make_unique<WorkerApp>(c, nodes);
          },
-         1.0,
-         /*tracePortable=*/true});
+         1.0});
 
     add({"tsp",
          "branch-and-bound traveling salesman (Sec. 6)",
@@ -257,11 +256,7 @@ AppRegistry::AppRegistry()
              r.finish();
              return std::make_unique<SmgridApp>(c);
          },
-         5.0,
-         // Static grid partition, hardware barriers, per-thread
-         // residual slots with a thread-0 reduction: every reference
-         // is a pure function of (params, nodes, tid).
-         /*tracePortable=*/true});
+         5.0});
 
     add({"evolve",
          "genome evolution as hypercube traversal (Sec. 6)",
@@ -279,12 +274,7 @@ AppRegistry::AppRegistry()
              app->computeGroundTruth(nodes);
              return app;
          },
-         2.0,
-         // Walks branch only on the fitness table, which is written
-         // once in setup() and never stored to during the run; the
-         // global best is a per-thread-slot write plus a barrier and
-         // a thread-0 reduction, not a lock.
-         /*tracePortable=*/true});
+         2.0});
 
     add({"mp3d",
          "rarefied-fluid particle simulation (SPLASH, Sec. 6)",
@@ -339,23 +329,20 @@ AppRegistry::AppRegistry()
          "study)",
          {{"iterations", "4"}},
          micro_factory(MicroKind::FalseSharing),
-         0.5,
-         /*tracePortable=*/true});
+         0.5});
 
     add({"padded",
          "block-padded per-thread counters, contention-free control",
          {{"iterations", "4"}},
          micro_factory(MicroKind::Padded),
-         0.5,
-         /*tracePortable=*/true});
+         0.5});
 
     add({"hotline",
          "one hot block read by all, written by one (machine-model "
          "study)",
          {{"iterations", "4"}},
          micro_factory(MicroKind::HotLine),
-         0.5,
-         /*tracePortable=*/true});
+         0.5});
 }
 
 } // namespace swex

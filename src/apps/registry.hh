@@ -90,23 +90,6 @@ class AppRegistry
         double costWeight = 1.0;
 
         /**
-         * Declares the app's op stream timing-independent: every
-         * control-flow decision depends only on (params, nodes, tid)
-         * and on shared values that are immutable for the whole run
-         * (data written once in setup() and never stored to again —
-         * EVOLVE's fitness table is the canonical case), so one
-         * recorded trace replays exactly under any protocol /
-         * machine model / latency / seed cell. Requires static
-         * reference streams and hardware sync only; apps that spin
-         * on shared flags, take spin locks, or pull from work queues
-         * (timing decides who gets what) must leave this false —
-         * their traces are config-bound and the record path refuses
-         * to treat them as portable. Branching on a value another
-         * thread may write during the run is always disqualifying.
-         */
-        bool tracePortable = false;
-
-        /**
          * Machine models the app runs on, as shown by swex_cli
          * --list. Every registry app is written against the Mem API
          * only, so all of them carry coherence on either the

@@ -10,9 +10,8 @@
  * The partition is a pure function of (params, nthreads, tid) and
  * all phases synchronize on the machine's hardware barrier; the
  * final residual is combined through per-thread slots and a thread-0
- * reduction. No lock, no spin: the op stream is trace-portable
- * (registry tracePortable contract) and one recorded trace replays
- * under any protocol or machine model.
+ * reduction. No lock, no spin: the reference stream is the same under
+ * every protocol and machine model.
  */
 
 #ifndef SWEX_APPS_SMGRID_HH

@@ -1,8 +1,8 @@
 /**
  * @file
  * Crash- and race-safe whole-file writes. Every durable artifact the
- * simulator persists (swex-trace-v1 containers, cached swex-run-v1
- * records) goes through atomicWriteFile(): the bytes land in a
+ * simulator persists (cached swex-run-v1 records) goes through
+ * atomicWriteFile(): the bytes land in a
  * uniquely named temporary sibling first and are rename(2)d over the
  * final path only once fully written, so readers — and concurrent
  * writers racing to produce the same key — only ever observe complete

@@ -32,7 +32,7 @@ thread_local std::FILE *runFile = nullptr;
 
 /** Directory for per-run trace files, null if not requested. */
 const char *
-traceDir()
+perRunTraceDir()
 {
     static const char *dir = std::getenv("SWEX_TRACE_DIR");
     return dir;
@@ -89,10 +89,11 @@ TraceRunScope::TraceRunScope(const std::string &label)
     : saved(std::move(runLabel)), savedFile(runFile)
 {
     runLabel = label;
-    if (traceEnabled() && traceDir() != nullptr && !label.empty()) {
-        std::string path = std::string(traceDir()) + "/" +
+    if (traceEnabled() && perRunTraceDir() != nullptr &&
+        !label.empty()) {
+        std::string path = std::string(perRunTraceDir()) + "/" +
                            sanitizeLabel(label) + ".trace";
-        // Append: a run re-executed under the same id (replay) adds
+        // Append: a run re-executed under the same id adds
         // to its file rather than clobbering the evidence. A failed
         // open silently falls back to the labeled stderr sink.
         if (std::FILE *f = std::fopen(path.c_str(), "a"))

@@ -12,8 +12,11 @@
  * version constant anywhere.
  *
  * Components:
- *  - core: the simulation substrate every run shares (event kernel,
- *    machine/node/processor timing, caches, network, delivery).
+ *  - core: the simulation substrate every run shares (base utilities
+ *    and the stats tree, event kernel, machine/node/processor timing,
+ *    caches, network, delivery, the coherence auditor) plus the exp
+ *    files that shape a record (runner, run record, spec, entry
+ *    codec).
  *  - apps: the workload kernels and the registry defaults.
  *  - directory: the software-extended directory stack (home
  *    controller, ext directory, handler cost model).
@@ -62,7 +65,8 @@ const GeneratedFingerprints &generatedFingerprints();
  *  to exercise component-scoped invalidation. */
 struct CodeVersions
 {
-    std::uint64_t core = 1;        ///< sim kernel, machine, mem, net
+    std::uint64_t core = 1;        ///< base, sim, machine, mem, net,
+                                   ///< audit, record-shaping exp
     std::uint64_t apps = 1;        ///< workload kernels + registry
     std::uint64_t directory = 1;   ///< directory protocol stack
     std::uint64_t snoop = 1;       ///< snooping bus backend

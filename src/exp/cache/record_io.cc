@@ -151,7 +151,6 @@ saveRecord(const std::string &path, const RunRecord &r,
     w.str(r.app);
     w.str(r.protocol);
     w.str(r.machineModel);
-    w.str(r.execMode);
     w.u32(static_cast<std::uint32_t>(r.nodes));
     w.u8(r.sequential ? 1 : 0);
     w.u64(r.simCycles);
@@ -239,6 +238,13 @@ loadRecord(const std::string &path, RunRecord &out,
         err = path + ": truncated cache header";
         return LoadStatus::Corrupt;
     }
+    if (version < recordVersion) {
+        // An older layout holds a record an older build produced:
+        // not damage, just superseded. Recompute and overwrite.
+        err = path + ": swex-rec version " + std::to_string(version) +
+              " predates " + std::to_string(recordVersion);
+        return LoadStatus::Stale;
+    }
     if (version != recordVersion) {
         err = path + ": unsupported swex-rec version " +
               std::to_string(version) + " (expected " +
@@ -259,9 +265,8 @@ loadRecord(const std::string &path, RunRecord &out,
     std::uint8_t seq = 0, verified = 0, audited = 0;
     std::uint32_t nodes = 0, nsets = 0;
     bool ok = r.str(rec.id) && r.str(rec.app) && r.str(rec.protocol) &&
-              r.str(rec.machineModel) && r.str(rec.execMode) &&
-              r.u32(nodes) && r.u8(seq) && r.u64(rec.simCycles) &&
-              r.u8(verified) && r.str(rec.status) &&
+              r.str(rec.machineModel) && r.u32(nodes) && r.u8(seq) &&
+              r.u64(rec.simCycles) && r.u8(verified) && r.str(rec.status) &&
               r.u64(rec.lastProgress) && r.str(rec.stallSummary) &&
               r.u32(rec.faultDrop) && r.u32(rec.faultDup) &&
               r.u32(rec.faultBlackout) && r.u64(rec.faultSeed) &&

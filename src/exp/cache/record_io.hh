@@ -12,7 +12,8 @@
  * misplaced file can never serve the wrong cell. A trailing FNV-1a
  * checksum covers every preceding byte; any mismatch, truncation, or
  * unknown version is a structured error, which the cache treats as a
- * miss (recompute and overwrite), never a crash.
+ * miss (recompute and overwrite), never a crash. An entry written by
+ * an older layout version reads as Stale, like a moved fingerprint.
  */
 
 #ifndef SWEX_EXP_CACHE_RECORD_IO_HH
@@ -28,7 +29,9 @@ namespace swex
 namespace cache
 {
 
-constexpr std::uint32_t recordVersion = 1;
+/** Entry layout version. 2 dropped the execution-mode string; an
+ *  entry of an older version loads as Stale. */
+constexpr std::uint32_t recordVersion = 2;
 constexpr char recordMagic[8] = {'S', 'W', 'E', 'X', 'R', 'E', 'C',
                                  '1'};
 
@@ -47,7 +50,8 @@ enum class LoadStatus
     Ok,        ///< record rehydrated
     Missing,   ///< no file at the path
     Corrupt,   ///< bad magic/version/checksum/body, or misplaced key
-    Stale,     ///< valid entry, but the code fingerprint moved on
+    Stale,     ///< valid entry, but an older layout or a moved
+               ///< code fingerprint
 };
 
 /**

@@ -13,7 +13,6 @@
 
 #include "exp/cache/record_io.hh"
 #include "exp/runner.hh"
-#include "trace/trace_format.hh"
 
 namespace swex
 {
@@ -49,6 +48,83 @@ mixStr(std::uint64_t h, const std::string &s)
 {
     h = mixU64(h, s.size());
     return mixBytes(h, s.data(), s.size());
+}
+
+/** AppParams in canonical "k=v;k=v" form (std::map is key-sorted). */
+std::string
+canonicalAppParams(const AppParams &params)
+{
+    std::string out;
+    for (const auto &[k, v] : params) {
+        if (!out.empty())
+            out += ';';
+        out += k;
+        out += '=';
+        out += v;
+    }
+    return out;
+}
+
+/**
+ * FNV-1a over every timing-relevant MachineConfig field: two configs
+ * with equal fingerprints run any fixed program to bit-identical
+ * cycle counts. trackSharing changes the record but not timing, so
+ * it is left to specKey.
+ */
+std::uint64_t
+configFingerprint(const MachineConfig &mc)
+{
+    std::uint64_t h = fnvOffset;
+    auto mix = [&h](std::uint64_t v) { h = mixU64(h, v); };
+    mix(static_cast<std::uint64_t>(mc.numNodes));
+    mix(static_cast<std::uint64_t>(mc.protocol.hwPointers));
+    mix(static_cast<std::uint64_t>(mc.protocol.ackMode));
+    mix(mc.protocol.swBroadcast);
+    mix(mc.protocol.localBit);
+    mix(static_cast<std::uint64_t>(mc.profile));
+    mix(mc.parallelInv);
+    mix(static_cast<std::uint64_t>(mc.mutation));
+    mix(mc.memLatency);
+    mix(mc.hwCtrlLatency);
+    mix(mc.rxOccupancy);
+    mix(mc.net.hopLatency);
+    mix(mc.net.routerEntry);
+    mix(mc.net.loopback);
+    mix(mc.net.jitterMax);
+    mix(mc.net.jitterSeed);
+    mix(mc.net.faults.dropPerMille);
+    mix(mc.net.faults.dupPerMille);
+    mix(mc.net.faults.blackoutPerMille);
+    mix(mc.net.faults.blackoutMax);
+    mix(mc.net.faults.retransmitTimeout);
+    mix(mc.net.faults.retransmitBound);
+    mix(mc.net.faults.seed);
+    mix(mc.cacheCtrl.cacheBytes);
+    mix(mc.cacheCtrl.victimEntries);
+    mix(mc.cacheCtrl.hitLatency);
+    mix(mc.cacheCtrl.victimSwapLatency);
+    mix(mc.cacheCtrl.fillLatency);
+    mix(mc.cacheCtrl.missIssueLatency);
+    mix(mc.cacheCtrl.instrMissLatency);
+    mix(mc.cacheCtrl.retryBase);
+    mix(mc.cacheCtrl.retryCap);
+    mix(mc.perfectIfetch);
+    mix(static_cast<std::uint64_t>(mc.watchdog));
+    mix(mc.segBytes);
+    mix(mc.seed);
+    mix(mc.deadline);
+    // Snooping machine model: mixed only when selected, so every
+    // directory fingerprint is unchanged from before the bus existed.
+    if (mc.machineModel != MachineModel::Directory) {
+        mix(static_cast<std::uint64_t>(mc.machineModel));
+        mix(static_cast<std::uint64_t>(mc.snoopProtocol));
+        mix(static_cast<std::uint64_t>(mc.bus.arbitration));
+        mix(mc.bus.addrCycles);
+        mix(mc.bus.dataCycles);
+        mix(mc.bus.updCycles);
+        mix(mc.bus.c2cLatency);
+    }
+    return h;
 }
 
 std::string
@@ -131,15 +207,12 @@ ResultCache::specKey(const ExperimentSpec &spec)
     // sequential-baseline override, so a sequential cell keys on the
     // 1-node machine it actually runs. On top of that, mix the
     // identity fields the record carries verbatim but the machine
-    // fingerprint does not cover. Execution strategy (execMode,
-    // traceDir, fastReplay) stays out: replay is bit-identical to
-    // direct execution, so it is not part of the experiment's
-    // identity.
+    // fingerprint does not cover.
     std::uint64_t h = fnvOffset;
-    h = mixU64(h, trace::configFingerprint(Runner::machineFor(spec)));
+    h = mixU64(h, configFingerprint(Runner::machineFor(spec)));
     h = mixStr(h, spec.id);
     h = mixStr(h, spec.app);
-    h = mixStr(h, trace::canonicalAppParams(spec.params));
+    h = mixStr(h, canonicalAppParams(spec.params));
     h = mixU64(h, spec.sequential ? 1 : 0);
     h = mixU64(h, spec.audit ? 1 : 0);
     // trackSharing changes the record (workerSets) without changing

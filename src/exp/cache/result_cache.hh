@@ -14,17 +14,15 @@
  *    protocol, profile, latencies, victim cache, seeds, jitter,
  *    faults, deadline, mutation, and the machine model) plus the
  *    record identity fields the document carries verbatim (id, app,
- *    canonical params, sequential, audit, trackSharing). Execution
- *    strategy (execMode / traceDir / fastReplay) is deliberately
- *    excluded: replay is bit-identical to direct execution, so the
- *    experiment's identity does not include how its op stream was
- *    sourced.
+ *    canonical params, sequential, audit, trackSharing).
  *  - code fingerprint: per-component code versions + $SWEX_CACHE_EPOCH
  *    (code_version.hh). Wall-clock fields are stored but never keyed:
  *    they are measurement cost, not experiment identity.
  *
- * Only direct-mode, completed, verified, violation-free records are
- * stored, so a hit always serves bytes a direct run produced.
+ * Only completed, verified, violation-free records are stored, so a
+ * hit always serves bytes a fresh run produced. This is the only
+ * layer that reuses a finished run, so every source file that shapes
+ * a record is part of its code fingerprint.
  * Lookups are thread-safe and O(one file); corrupt or stale entries
  * count as misses (and are deleted so the recompute's store replaces
  * them). The directory can be bounded (Budget): stores then evict

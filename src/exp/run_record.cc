@@ -58,18 +58,14 @@ RunRecord::writeJson(std::ostream &os, bool canonical) const
     jsonString(os, app);
     os << ",\"protocol\":";
     jsonString(os, protocol);
-    // Emitted only for non-directory models, mirroring exec_mode:
-    // directory documents stay byte-identical to pre-seam outputs.
+    // Emitted only for non-directory models: directory documents
+    // stay byte-identical to pre-seam outputs.
     if (machineModel != "directory") {
         os << ",\"machine_model\":";
         jsonString(os, machineModel);
     }
     os << ",\"nodes\":" << nodes
        << ",\"sequential\":" << (sequential ? "true" : "false");
-    if (execMode != "direct") {
-        os << ",\"exec_mode\":";
-        jsonString(os, execMode);
-    }
     os << ",\"sim_cycles\":" << simCycles
        << ",\"verified\":" << (verified ? "true" : "false")
        << ",\"status\":";

@@ -31,9 +31,6 @@ struct RunRecord
     int nodes = 0;
     bool sequential = false;  ///< sequential reference run?
 
-    /** How the op stream was sourced: "direct", "record", "replay". */
-    std::string execMode = "direct";
-
     Tick simCycles = 0;       ///< elapsed simulated cycles
     bool verified = false;    ///< app self-check passed
 

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <set>
 #include <sstream>
 #include <utility>
 
@@ -14,8 +13,6 @@
 #include "exp/cache/result_cache.hh"
 #include "exp/pool.hh"
 #include "machine/node.hh"
-#include "trace/recorder.hh"
-#include "trace/replay.hh"
 
 namespace swex
 {
@@ -28,93 +25,6 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 {
     return std::chrono::duration<double>(
         std::chrono::steady_clock::now() - t0).count();
-}
-
-bool
-fileExists(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr)
-        return false;
-    std::fclose(f);
-    return true;
-}
-
-bool
-appIsPortable(const std::string &app)
-{
-    return AppRegistry::instance().contains(app) &&
-           AppRegistry::instance().entry(app).tracePortable;
-}
-
-const char *
-execModeName(ExecutionMode mode)
-{
-    switch (mode) {
-      case ExecutionMode::Direct: return "direct";
-      case ExecutionMode::Record: return "record";
-      case ExecutionMode::Replay: return "replay";
-    }
-    return "direct";
-}
-
-/**
- * Serialize the recorder's streams plus the run's identity into a
- * trace and save it under the cache directory: always under the
- * exact-config filename (the fast-forward tier's key), and — when
- * @p write_portable and the app is registry-portable — under the
- * portable filename too, so one recording seeds every protocol cell.
- * @p skip_existing makes the write idempotent for replay-side
- * re-records. @return "" on success, else the error.
- */
-std::string
-saveRecordedTrace(const ExperimentSpec &spec, const MachineConfig &mc,
-                  const Machine &m, const RunRecord &record,
-                  bool write_portable, bool skip_existing)
-{
-    std::string dir = trace::resolveTraceDir(spec.traceDir);
-    if (dir.empty())
-        return "no trace directory (set spec.traceDir or "
-               "$SWEX_TRACE_CACHE)";
-    const TraceRecorder *rec = m.recorder();
-    SWEX_ASSERT(rec, "record run without a recorder");
-
-    bool portable = appIsPortable(spec.app);
-    trace::Trace t;
-    t.meta.portable = portable;
-    t.meta.sequential = spec.sequential;
-    t.meta.appNodes = static_cast<std::uint32_t>(spec.nodes);
-    t.meta.numThreads = static_cast<std::uint32_t>(rec->numThreads());
-    t.meta.configFingerprint = trace::configFingerprint(mc);
-    t.meta.recordedCycles = record.simCycles;
-    t.meta.recordedImageHash = record.imageHash;
-    t.meta.seed = mc.seed;
-    t.meta.app = spec.app;
-    t.meta.params = trace::canonicalAppParams(spec.params);
-    t.meta.protocol = mc.protocol.name();
-    t.streams.reserve(static_cast<std::size_t>(rec->numThreads()));
-    for (int i = 0; i < rec->numThreads(); ++i)
-        t.streams.push_back(rec->stream(i));
-
-    std::string err;
-    std::string cfg_path = dir + "/" +
-        trace::traceFileName(spec.app, t.meta.params, spec.nodes,
-                             spec.sequential, false,
-                             t.meta.configFingerprint);
-    if (!(skip_existing && fileExists(cfg_path)) &&
-        !t.save(cfg_path, err)) {
-        return err;
-    }
-    if (portable && write_portable) {
-        std::string port_path = dir + "/" +
-            trace::traceFileName(spec.app, t.meta.params, spec.nodes,
-                                 spec.sequential, true, 0);
-        if (!(skip_existing && fileExists(port_path)) &&
-            !t.save(port_path, err)) {
-            return err;
-        }
-    }
-    return "";
 }
 
 } // anonymous namespace
@@ -132,63 +42,7 @@ Runner::machineFor(const ExperimentSpec &spec)
     } else {
         mc = spec.machine();
     }
-    mc.executionMode = spec.execMode;
     return mc;
-}
-
-std::string
-Runner::findReplayTrace(const ExperimentSpec &spec, trace::Trace &out)
-{
-    std::string dir = trace::resolveTraceDir(spec.traceDir);
-    if (dir.empty())
-        return "no trace directory (set --trace-dir or "
-               "$SWEX_TRACE_CACHE)";
-
-    std::string params = trace::canonicalAppParams(spec.params);
-    MachineConfig mc = machineFor(spec);
-    std::uint64_t fp = trace::configFingerprint(mc);
-
-    // An exact config-bound recording first: bit-identical replay
-    // under this machine config by determinism induction.
-    std::string cfg_path = dir + "/" +
-        trace::traceFileName(spec.app, params, spec.nodes,
-                             spec.sequential, false, fp);
-    std::string cfg_err;
-    if (trace::Trace::load(cfg_path, out, cfg_err)) {
-        std::string m = out.keyMismatch(spec.app, params, spec.nodes,
-                                        spec.sequential);
-        if (!m.empty())
-            return cfg_path + ": " + m;
-        if (out.meta.configFingerprint != fp)
-            return cfg_path + ": machine-config fingerprint mismatch; "
-                              "re-record";
-        return "";
-    }
-
-    // Then a portable recording — but only when the registry declares
-    // the app's op stream timing-independent. A trace file claiming
-    // portability for an app the registry knows spins on shared state
-    // is refused: replaying it under a different config would
-    // silently diverge from direct execution.
-    if (!appIsPortable(spec.app))
-        return cfg_err + " (app '" + spec.app +
-               "' is not trace-portable: its op stream depends on "
-               "timing, so only an exact-config recording can replay)";
-
-    std::string port_path = dir + "/" +
-        trace::traceFileName(spec.app, params, spec.nodes,
-                             spec.sequential, true, 0);
-    std::string port_err;
-    if (!trace::Trace::load(port_path, out, port_err))
-        return port_err;
-    if (!out.meta.portable)
-        return port_path + ": trace not recorded as portable; "
-                           "re-record";
-    std::string m = out.keyMismatch(spec.app, params, spec.nodes,
-                                    spec.sequential);
-    if (!m.empty())
-        return port_path + ": " + m;
-    return "";
 }
 
 RunRecord
@@ -198,14 +52,10 @@ Runner::execute(const ExperimentSpec &spec, ExecSource *source) const
         *source = ExecSource::Sim;
 
     // A warm result-cache cell short-circuits everything below — no
-    // app, no machine, no simulation. The probe comes before replay
-    // trace resolution on purpose: a cached record must be servable
-    // even when the trace directory is gone. A corrupt or stale entry
-    // reads as a miss (and is deleted), so the recompute below is the
-    // fallback path, not an error path. Record runs never probe: the
-    // caller asked for the trace-capture side effect, which a served
-    // record would silently skip.
-    if (_cache != nullptr && spec.execMode != ExecutionMode::Record) {
+    // app, no machine, no simulation. A corrupt or stale entry reads
+    // as a miss (and is deleted), so the recompute below is the
+    // fallback path, not an error path.
+    if (_cache != nullptr) {
         RunRecord cached;
         if (_cache->lookup(spec, cached)) {
             if (source != nullptr)
@@ -223,31 +73,6 @@ Runner::execute(const ExperimentSpec &spec, ExecSource *source) const
 
     MachineConfig mc = machineFor(spec);
 
-    // Replay: resolve and validate the trace before building the
-    // machine, so every failure is a structured message up front.
-    std::unique_ptr<trace::ReplayProgram> prog;
-    if (spec.execMode == ExecutionMode::Replay) {
-        trace::Trace t;
-        std::string err = findReplayTrace(spec, t);
-        if (!err.empty())
-            fatal("replay %s: %s", spec.id.c_str(), err.c_str());
-        SWEX_ASSERT(static_cast<int>(t.streams.size()) <= mc.numNodes,
-                    "trace has more threads (%zu) than machine nodes "
-                    "(%d)", t.streams.size(), mc.numNodes);
-        prog = std::make_unique<trace::ReplayProgram>(std::move(t));
-    }
-
-    // Fast-forward tier: an exact-fingerprint trace of a portable app
-    // can skip event simulation outright — apply the recorded
-    // mutation stream, carry the recorded timing, verify the image
-    // below. The fingerprint gate matters: the gaps and cycle count
-    // are the recording config's observed timing, meaningless under
-    // any other machine.
-    const bool fast =
-        prog && spec.fastReplay && appIsPortable(spec.app) &&
-        prog->trace().meta.configFingerprint ==
-            trace::configFingerprint(mc);
-
     auto t0 = std::chrono::steady_clock::now();
     Machine m(mc);
     CoherenceAuditor auditor(CoherenceAuditor::Mode::Collect);
@@ -256,19 +81,8 @@ Runner::execute(const ExperimentSpec &spec, ExecSource *source) const
 
     RunRecord record;
     record.sequential = spec.sequential;
-    record.execMode = fast ? "replay-fast" : execModeName(spec.execMode);
-    if (fast) {
-        app->setup(m);
-        record.simCycles = trace::fastForward(m, prog->trace()).cycles;
-    } else if (prog) {
-        // Replay reproduces the op streams, not the initial image:
-        // the app still allocates and initializes shared data.
-        app->setup(m);
-        record.simCycles = m.runReplay(prog->sources());
-    } else {
-        record.simCycles = spec.sequential ? app->runSequential(m)
-                                           : app->runParallel(m);
-    }
+    record.simCycles = spec.sequential ? app->runSequential(m)
+                                       : app->runParallel(m);
     record.hostWallSeconds = secondsSince(t0);
 
     switch (m.runStatus()) {
@@ -298,20 +112,6 @@ Runner::execute(const ExperimentSpec &spec, ExecSource *source) const
             record.stallSummary = post.stallSummary();
             m.attachAuditor(nullptr);
         }
-    } else if (prog) {
-        // Replay cannot run the app's own verify(): host-side
-        // expectation counters (e.g. TSP's expansion count) only
-        // advance when the coroutines execute. The replay witness is
-        // stronger anyway — the coherent memory image must hash to
-        // the recorded run's image, and an exact-config replay must
-        // land on the recorded cycle count bit for bit.
-        const trace::TraceMeta &meta = prog->trace().meta;
-        record.verified = m.imageHash() == meta.recordedImageHash;
-        if (trace::configFingerprint(mc) == meta.configFingerprint &&
-            record.simCycles != meta.recordedCycles) {
-            record.verified = false;
-        }
-        m.checkInvariants();
     } else {
         record.verified = app->verify(m);
         m.checkInvariants();
@@ -373,37 +173,11 @@ Runner::execute(const ExperimentSpec &spec, ExecSource *source) const
         record.statsText = os.str();
     }
 
-    // Persist the captured op streams. Failed (deadline/deadlock)
-    // runs are never saved: their streams are truncated mid-program
-    // and could not replay to the same outcome.
-    if (spec.execMode == ExecutionMode::Record && !record.failed()) {
-        std::string err =
-            saveRecordedTrace(spec, mc, m, record, true, false);
-        if (!err.empty())
-            fatal("record %s: %s", spec.id.c_str(), err.c_str());
-    } else if (spec.execMode == ExecutionMode::Replay && !fast &&
-               !record.failed() && record.verified) {
-        // Event-driven replay re-recorded the op stream with this
-        // config's observed gaps; persist it under the exact-config
-        // key (idempotently) so the next sweep fast-forwards this
-        // cell. Opportunistic: a save failure degrades throughput,
-        // not correctness.
-        std::string err =
-            saveRecordedTrace(spec, mc, m, record, false, true);
-        if (!err.empty())
-            warn("replay %s: could not cache exact-config trace: %s",
-                 spec.id.c_str(), err.c_str());
-    }
-
-    // Store policy: only a direct-mode, completed, verified,
-    // violation-free record enters the cache, so a later hit serves
-    // exactly the bytes a direct run would emit. Replay results are
-    // bit-identical anyway but carry execMode "replay"/"replay-fast"
-    // in the document; caching them would leak the execution strategy
-    // into cache-served records. A store failure costs throughput,
-    // never correctness.
-    if (_cache != nullptr && spec.execMode == ExecutionMode::Direct &&
-        !record.failed() && record.verified &&
+    // Store policy: only a completed, verified, violation-free record
+    // enters the cache, so a later hit serves exactly the bytes a
+    // fresh run would emit. A store failure costs throughput, never
+    // correctness.
+    if (_cache != nullptr && !record.failed() && record.verified &&
         record.auditViolations == 0) {
         std::string err;
         if (!_cache->store(spec, record, err))
@@ -485,93 +259,6 @@ Runner::runAll(const std::vector<ExperimentSpec> &specs, unsigned jobs)
 
     std::vector<RunRecord *> out;
     out.reserve(specs.size());
-    for (RunRecord &r : results)
-        out.push_back(&_log.add(std::move(r)));
-    for (const RunRecord *r : out)
-        enforce(*r);
-    return out;
-}
-
-std::vector<RunRecord *>
-Runner::runAllReplay(const std::vector<ExperimentSpec> &specs,
-                     unsigned jobs, const std::string &trace_dir)
-{
-    std::string dir = trace::resolveTraceDir(trace_dir);
-    if (dir.empty()) {
-        fatal("runAllReplay: no trace directory (pass trace_dir or "
-              "set $SWEX_TRACE_CACHE)");
-    }
-
-    // Partition: phase one records each portable trace key once (or
-    // trusts an existing cached trace) and runs non-portable cells
-    // directly; phase two fans every remaining cell out as a replay
-    // of the now-cached trace. Replay cells opt into the fast-forward
-    // tier: a cell whose exact-config trace is cached (from a prior
-    // sweep's record or replay-side re-record) skips event simulation
-    // entirely; the rest replay through the simulated machinery and
-    // leave their own exact-config trace behind, so a sweep's cost
-    // converges to pure fast-forward as the cache warms.
-    std::vector<ExperimentSpec> work(specs.begin(), specs.end());
-    std::set<std::string> claimed;
-    std::vector<std::size_t> first, second;
-    for (std::size_t i = 0; i < work.size(); ++i) {
-        ExperimentSpec &s = work[i];
-        // Result-cache-warm cells leave the record/replay economy
-        // entirely: run them "Direct" so execute()'s cache probe
-        // serves them from disk (or, if the entry turns out corrupt,
-        // falls back to a genuine direct run). They neither claim a
-        // recording slot nor need the trace — only the cold cells
-        // partition below.
-        if (_cache != nullptr && _cache->contains(s)) {
-            s.execMode = ExecutionMode::Direct;
-            first.push_back(i);
-            continue;
-        }
-        if (!appIsPortable(s.app)) {
-            s.execMode = ExecutionMode::Direct;
-            first.push_back(i);
-            continue;
-        }
-        s.traceDir = dir;
-        std::string params = trace::canonicalAppParams(s.params);
-        std::string port_key = trace::traceFileName(
-            s.app, params, s.nodes, s.sequential, true, 0);
-        std::string cfg_key = trace::traceFileName(
-            s.app, params, s.nodes, s.sequential, false,
-            trace::configFingerprint(machineFor(s)));
-        if (!fileExists(dir + "/" + cfg_key) &&
-            !fileExists(dir + "/" + port_key) &&
-            claimed.insert(port_key).second) {
-            s.execMode = ExecutionMode::Record;
-            first.push_back(i);
-        } else {
-            s.execMode = ExecutionMode::Replay;
-            s.fastReplay = true;
-            second.push_back(i);
-        }
-    }
-
-    std::vector<RunRecord> results(work.size());
-    auto phase = [&](const std::vector<std::size_t> &idx) {
-        std::vector<double> costs;
-        costs.reserve(idx.size());
-        for (std::size_t i : idx) {
-            const ExperimentSpec &s = work[i];
-            double w = 1.0;
-            if (AppRegistry::instance().contains(s.app))
-                w = AppRegistry::instance().entry(s.app).costWeight;
-            costs.push_back(w * static_cast<double>(
-                                    s.sequential ? 1 : s.nodes));
-        }
-        parallelFor(idx.size(), jobs, costs, [&](std::size_t k) {
-            results[idx[k]] = execute(work[idx[k]]);
-        });
-    };
-    phase(first);
-    phase(second);
-
-    std::vector<RunRecord *> out;
-    out.reserve(work.size());
     for (RunRecord &r : results)
         out.push_back(&_log.add(std::move(r)));
     for (const RunRecord *r : out)

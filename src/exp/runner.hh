@@ -22,7 +22,6 @@
 
 #include "exp/run_record.hh"
 #include "exp/spec.hh"
-#include "trace/trace_format.hh"
 
 namespace swex
 {
@@ -43,7 +42,7 @@ class Runner
      */
     enum class ExecSource
     {
-        Sim,    ///< computed by simulation (cache off, miss, or Record)
+        Sim,    ///< computed by simulation (cache off or miss)
         Cache,  ///< served verbatim from the attached result cache
     };
 
@@ -94,43 +93,16 @@ class Runner
                       ExecSource *source = nullptr) const;
 
     /**
-     * Record-once, replay-everywhere sweep. Specs whose app the
-     * registry declares trace-portable are partitioned by trace key
-     * (app, params, nodes, sequential): the first cell of each key
-     * records (or an already-cached trace is reused), every other
-     * cell replays the cached trace — the order-of-magnitude fast
-     * path for protocol sweeps, where one recording drives every
-     * protocol / latency / victim / seed cell. Specs whose app is
-     * not portable run Direct, unchanged (record+replay per cell
-     * would be pure overhead). Results merge into the log in spec
-     * order, exactly like runAll().
-     */
-    std::vector<RunRecord *> runAllReplay(
-        const std::vector<ExperimentSpec> &specs, unsigned jobs,
-        const std::string &trace_dir = "");
-
-    /**
      * The machine configuration a spec actually runs on (applies the
-     * sequential-baseline override and the execution mode).
+     * sequential-baseline override).
      */
     static MachineConfig machineFor(const ExperimentSpec &spec);
 
     /**
-     * Locate, load, and validate the trace a Replay of @p spec would
-     * use: the exact config-bound trace first, then — only for apps
-     * the registry declares trace-portable — a portable recording.
-     * @return "" with @p out filled on success, else a structured
-     * error (no trace directory, missing file, stale key, fingerprint
-     * mismatch, corrupt trace). Never crashes on bad input.
-     */
-    static std::string findReplayTrace(const ExperimentSpec &spec,
-                                       trace::Trace &out);
-
-    /**
      * Consult @p cache (not owned; may be nullptr to detach) on every
      * execute(): a warm cell is served straight from disk — no app,
-     * no machine, no simulation — and a direct-mode, completed,
-     * verified, violation-free result is stored back. Cache misses
+     * no machine, no simulation — and a completed, verified,
+     * violation-free result is stored back. Cache misses
      * that recompute are indistinguishable from uncached runs, so a
      * sweep's emitted document is byte-identical with the cache on,
      * off, cold, or warm.

@@ -152,13 +152,6 @@ void
 CacheController::complete(Word value, Cycles delay)
 {
     completeEvent.value = value;
-    if (node.proc.replayBatchWindow(delay)) {
-        // Replay fast path: no pending event precedes the completion
-        // tick, so run the completion there directly — same handler,
-        // same tick, same state, minus the queue round-trip.
-        completeEvent.process();
-        return;
-    }
     node.eventq().scheduleIn(completeEvent, delay);
 }
 

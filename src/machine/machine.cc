@@ -8,7 +8,6 @@
 #include "base/intmath.hh"
 #include "base/logging.hh"
 #include "machine/mem_api.hh"
-#include "trace/recorder.hh"
 
 namespace swex
 {
@@ -33,13 +32,6 @@ Machine::Machine(const MachineConfig &config)
         heapPtr[static_cast<std::size_t>(i)] = 64 * 1024 +
                                                8 * blockBytes;
     }
-    // Replay-mode machines also record: the cursor re-stamps each op
-    // with the gap observed under *this* configuration, so replaying
-    // a portable trace on a new config yields that config's own
-    // exact-fingerprint trace as a byproduct (the cache upgrades
-    // itself toward the fast-forward tier).
-    if (cfg.executionMode != ExecutionMode::Direct)
-        _recorder = std::make_unique<TraceRecorder>(cfg.numNodes);
 }
 
 Machine::~Machine() = default;
@@ -108,32 +100,6 @@ Machine::run(const ThreadFn &fn, int num_threads)
             fn(*_memHandles.back(), i));
     }
 
-    return runMainLoop(start);
-}
-
-Tick
-Machine::runReplay(const std::vector<ReplaySource *> &threads)
-{
-    int num_threads = static_cast<int>(threads.size());
-    SWEX_ASSERT(num_threads >= 1 && num_threads <= cfg.numNodes,
-                "bad replay thread count %d", num_threads);
-
-    Tick start = eventq.curTick();
-    running = num_threads;
-    _runStatus = RunStatus::Completed;
-    _lastProgress = start;
-
-    for (int i = 0; i < num_threads; ++i) {
-        nodes[static_cast<std::size_t>(i)]->proc.runReplay(
-            threads[static_cast<std::size_t>(i)]);
-    }
-
-    return runMainLoop(start);
-}
-
-Tick
-Machine::runMainLoop(Tick start)
-{
     const Tick deadlineTick =
         cfg.deadline ? start + cfg.deadline : 0;
 

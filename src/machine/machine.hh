@@ -30,31 +30,11 @@ namespace swex
 
 class CoherenceAuditor;
 class Mem;
-class ReplaySource;
-class TraceRecorder;
-
-/**
- * How the machine sources each thread's operation stream.
- *  - Direct: coroutine app threads (the historical path).
- *  - Record: coroutine app threads, with the Mem API mirroring every
- *    operation into a TraceRecorder. Strictly passive — simulated
- *    results are bit-identical to Direct.
- *  - Replay: flat cursors over a recorded trace drive the processors
- *    (runReplay); no coroutine frames, no app host compute.
- */
-enum class ExecutionMode
-{
-    Direct,
-    Record,
-    Replay,
-};
 
 /** Full system configuration. */
 struct MachineConfig
 {
     int numNodes = 16;
-
-    ExecutionMode executionMode = ExecutionMode::Direct;
 
     /** Which machine model carries coherence. */
     MachineModel machineModel = MachineModel::Directory;
@@ -173,20 +153,6 @@ class Machine
      * @return elapsed cycles
      */
     Tick run(const ThreadFn &fn, int num_threads = -1);
-
-    /**
-     * Replay a recorded program: one ReplaySource cursor per thread,
-     * driving nodes 0..n-1. The app's setup() must have run first
-     * (replay reproduces the op streams, not the initial image).
-     * Deadline and drain semantics match run().
-     * @return elapsed cycles
-     */
-    Tick runReplay(const std::vector<ReplaySource *> &threads);
-
-    /** The op-stream recorder (non-null unless executionMode==Direct;
-     *  Replay re-records so the run emits its own exact-config trace). */
-    TraceRecorder *recorder() { return _recorder.get(); }
-    const TraceRecorder *recorder() const { return _recorder.get(); }
 
     /** Outcome of the most recent run(). */
     RunStatus runStatus() const { return _runStatus; }
@@ -307,19 +273,10 @@ class Machine
     std::unique_ptr<CoherenceBackend> backend;
     std::vector<std::unique_ptr<Node>> nodes;
 
-    /**
-     * One thread's arrival at the fast barrier. Internal to the
-     * BarrierAwaitable and the replay drive path (which arrives with
-     * a sentinel handle); applications use hwBarrier().
-     */
+  private:
     void barrierArrive(int node, std::coroutine_handle<> h);
 
-  private:
-    /** The shared event loop + drain behind run() and runReplay(). */
-    Tick runMainLoop(Tick start);
-
     MachineConfig cfg;
-    std::unique_ptr<TraceRecorder> _recorder;
     CoherenceAuditor *_auditor = nullptr;
     RunStatus _runStatus = RunStatus::Completed;
     Tick _lastProgress = 0;

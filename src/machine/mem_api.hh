@@ -14,7 +14,6 @@
 #include "machine/machine.hh"
 #include "machine/node.hh"
 #include "machine/processor.hh"
-#include "trace/recorder.hh"
 
 namespace swex
 {
@@ -44,8 +43,6 @@ class Mem
     Processor::MemAwaitable
     read(Addr a)
     {
-        if (auto *rec = _machine.recorder())
-            rec->memOp(_node, _machine.now(), trace::Op::Load, a, 0);
         return proc().memOp(MemOpType::Load, a, 0);
     }
 
@@ -53,8 +50,6 @@ class Mem
     Processor::MemAwaitable
     write(Addr a, Word v)
     {
-        if (auto *rec = _machine.recorder())
-            rec->memOp(_node, _machine.now(), trace::Op::Store, a, v);
         return proc().memOp(MemOpType::Store, a, v);
     }
 
@@ -62,8 +57,6 @@ class Mem
     Processor::MemAwaitable
     fetchAdd(Addr a, Word v)
     {
-        if (auto *rec = _machine.recorder())
-            rec->memOp(_node, _machine.now(), trace::Op::FetchAdd, a, v);
         return proc().memOp(MemOpType::FetchAdd, a, v);
     }
 
@@ -71,8 +64,6 @@ class Mem
     Processor::MemAwaitable
     swap(Addr a, Word v)
     {
-        if (auto *rec = _machine.recorder())
-            rec->memOp(_node, _machine.now(), trace::Op::Swap, a, v);
         return proc().memOp(MemOpType::Swap, a, v);
     }
 
@@ -80,12 +71,6 @@ class Mem
     Processor::WorkAwaitable
     work(Cycles n)
     {
-        // work(0) never suspends or charges cycles (await_ready), so
-        // it is invisible to timing and is not recorded.
-        if (n != 0) {
-            if (auto *rec = _machine.recorder())
-                rec->work(_node, _machine.now(), n);
-        }
         return proc().work(n);
     }
 
@@ -93,8 +78,6 @@ class Mem
     void
     setFootprint(std::vector<Addr> blocks)
     {
-        if (auto *rec = _machine.recorder())
-            rec->setFootprint(_node, _machine.now(), blocks);
         proc().setFootprint(std::move(blocks));
     }
 
@@ -102,8 +85,6 @@ class Mem
     Machine::BarrierAwaitable
     hwBarrier()
     {
-        if (auto *rec = _machine.recorder())
-            rec->hwBarrier(_node, _machine.now());
         return _machine.hwBarrier(_node);
     }
 

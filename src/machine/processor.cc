@@ -30,81 +30,20 @@ void
 Processor::runThread(Task<void> t)
 {
     SWEX_ASSERT(t.valid(), "runThread: invalid task");
-    replaySrc = nullptr;
     mainTask = std::move(t);
     finished = false;
     _node.eventq().scheduleIn(startEvent, 0);
 }
 
 void
-Processor::runReplay(ReplaySource *src)
-{
-    SWEX_ASSERT(src, "runReplay: null source");
-    replaySrc = src;
-    finished = false;
-    // The batch fast path jumps the clock over multiple quiet ops at
-    // once, which would let a deadline check in the run loop slip; a
-    // deadline'd replay therefore runs fully evented (still exact).
-    replayBatchOk = _node.machine().config().deadline == 0;
-    _node.eventq().scheduleIn(startEvent, 0);
-}
-
-void
 Processor::onThreadStart()
 {
-    if (replaySrc) {
-        advanceReplay();
-        return;
-    }
     mainTask.start();
     if (mainTask.done() && !finished) {
         finished = true;
         mainTask.rethrowIfFailed();
         _node.machine().threadFinished();
     }
-}
-
-void
-Processor::advanceReplay()
-{
-    SWEX_ASSERT(replaySrc && !replayAdvancing,
-                "re-entrant replay advance");
-    replayAdvancing = true;
-    // Each iteration issues one suspending op. When the op completes
-    // synchronously (the batch window was open), the completion path
-    // lands back in resumeUser, which flags replayOpDone instead of
-    // recursing, and we issue the next op from this same frame.
-    do {
-        replayOpDone = false;
-        if (!replaySrc->advance(*this)) {
-            replayAdvancing = false;
-            finished = true;
-            _node.machine().threadFinished();
-            return;
-        }
-    } while (replayOpDone);
-    replayAdvancing = false;
-}
-
-void
-Processor::replayBarrier()
-{
-    _node.machine().barrierArrive(_node.id(),
-                                  std::noop_coroutine());
-}
-
-bool
-Processor::replayBatchWindow(Cycles delay)
-{
-    if (!replayAdvancing || !replayBatchOk)
-        return false;
-    EventQueue &q = _node.eventq();
-    Tick done = q.curTick() + delay;
-    if (done >= q.nextPendingTick() ||
-        done > _node.machine().config().maxTicks)
-        return false;
-    q.advanceTo(done);
-    return true;
 }
 
 void
@@ -181,17 +120,6 @@ Processor::completeMemOp(Word value)
 void
 Processor::resumeUser(std::coroutine_handle<> h)
 {
-    if (replaySrc) {
-        // The replay cursor stands in for the coroutine. Inside a
-        // synchronous advance (batched completion) just flag the op
-        // done so the active advance loop issues the next one;
-        // otherwise this is a genuine event-driven resume.
-        if (replayAdvancing)
-            replayOpDone = true;
-        else
-            advanceReplay();
-        return;
-    }
     h.resume();
     if (mainTask.valid() && mainTask.done() && !finished) {
         finished = true;
@@ -225,14 +153,6 @@ Processor::tryRunUser()
         }
         userComputing = true;
         workStart = _node.eventq().curTick();
-        if (replayBatchWindow(workRemaining)) {
-            // No event precedes the completion tick: run onWorkDone
-            // at that tick directly instead of round-tripping the
-            // queue. Identical outcome — the same handler at the
-            // same tick with nothing in between.
-            onWorkDone();
-            return;
-        }
         _node.eventq().scheduleIn(workDoneEvent, workRemaining);
     }
 }

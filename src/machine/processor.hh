@@ -53,23 +53,6 @@ struct ProcessorConfig
     unsigned watchdogThreshold = 8;///< handlers in a row to trigger
 };
 
-class Processor;
-
-/**
- * A recorded operation stream being replayed through a Processor: the
- * flat cursor-over-trace state machine that replaces the coroutine in
- * ExecutionMode::Replay. advance() issues exactly one suspending
- * operation (work, memory op, or barrier) via the replay* methods —
- * handling zero-cost ops like setFootprint inline — and returns false
- * once the stream is exhausted.
- */
-class ReplaySource
-{
-  public:
-    virtual ~ReplaySource() = default;
-    virtual bool advance(Processor &p) = 0;
-};
-
 class Processor
 {
   public:
@@ -83,23 +66,7 @@ class Processor
     /** Install and start the thread's main coroutine. */
     void runThread(Task<void> t);
 
-    /**
-     * Replay mode: drive this processor from a recorded op stream
-     * instead of a coroutine. The trap, watchdog, and cycle-charging
-     * machinery is shared with direct execution — the cursor merely
-     * replaces the coroutine as the source of the next operation —
-     * so replay timing is identical by construction. @p src must
-     * outlive the run.
-     */
-    void runReplay(ReplaySource *src);
-
-    bool
-    threadDone() const
-    {
-        if (replaySrc)
-            return finished;
-        return !mainTask.valid() || finished;
-    }
+    bool threadDone() const { return !mainTask.valid() || finished; }
 
     /**
      * Set the instruction footprint (cache blocks) fetched during
@@ -177,35 +144,6 @@ class Processor
     Node &node() { return _node; }
 
     // --------------------------------------------------------------
-    // Replay issue surface (called by ReplaySource::advance)
-    // --------------------------------------------------------------
-
-    /** Issue a recorded work segment (n > 0). */
-    void replayWork(Cycles n) { startWork(n, std::noop_coroutine()); }
-
-    /** Issue a recorded memory operation. */
-    void
-    replayMemOp(MemOpType t, Addr a, Word operand)
-    {
-        startMemOp(t, a, operand, std::noop_coroutine());
-    }
-
-    /** Arrive at the machine's fast barrier. */
-    void replayBarrier();
-
-    /**
-     * Replay fast path: when called during a synchronous replay
-     * advance and no pending event precedes curTick + delay, advance
-     * the clock to that tick and return true — the caller then runs
-     * the completion body directly instead of scheduling it. A pure
-     * scheduling transformation: the same code executes at the same
-     * tick, only the queue round-trip is skipped, so cycle counts are
-     * bit-identical. Disabled under a deadline (the run loop checks
-     * the deadline between events, which a multi-op jump could skip).
-     */
-    bool replayBatchWindow(Cycles delay);
-
-    // --------------------------------------------------------------
     // Statistics
     // --------------------------------------------------------------
     stats::Group statsGroup;
@@ -229,7 +167,6 @@ class Processor
     void onHandlerDone();
     void preemptWork();
     void resumeUser(std::coroutine_handle<> h);
-    void advanceReplay();
     Cycles instrFetchPenalty();
 
     Node &_node;
@@ -237,12 +174,6 @@ class Processor
 
     Task<void> mainTask;
     bool finished = false;
-
-    // Replay drive state (null/false in Direct and Record modes).
-    ReplaySource *replaySrc = nullptr;
-    bool replayAdvancing = false;  ///< inside an advanceReplay frame
-    bool replayOpDone = false;     ///< last issued op batch-completed
-    bool replayBatchOk = false;    ///< batching allowed (no deadline)
 
     // Trap/handler machinery
     std::deque<TrapItem> trapQueue;

@@ -84,10 +84,6 @@ void
 SnoopNodeCoherence::complete(Word value, Cycles delay)
 {
     completeEvent.value = value;
-    if (_node.proc.replayBatchWindow(delay)) {
-        completeEvent.process();
-        return;
-    }
     _node.eventq().scheduleIn(completeEvent, delay);
 }
 

@@ -61,31 +61,6 @@ class EventQueue
     /** Current simulated time in cycles. */
     Tick curTick() const { return _curTick; }
 
-    /** Tick of the earliest pending event; tickNever when empty. */
-    Tick
-    nextPendingTick() const
-    {
-        const Event *e = pickNext();
-        return e != nullptr ? e->when() : tickNever;
-    }
-
-    /**
-     * Jump the clock forward to @p when without executing anything.
-     * Legal only while no pending event precedes @p when — the
-     * replay batch fast path uses this to charge quiet local cycles
-     * (cache hits, compute segments) without queue round-trips. The
-     * wheel mapping is absolute-tick based, so pending events at or
-     * after @p when keep their buckets.
-     */
-    void
-    advanceTo(Tick when)
-    {
-        SWEX_ASSERT(when >= _curTick, "advanceTo into the past");
-        SWEX_ASSERT(nextPendingTick() >= when,
-                    "advanceTo over a pending event");
-        _curTick = when;
-    }
-
     // --------------------------------------------------------------
     // Intrusive interface (the allocation-free hot path)
     // --------------------------------------------------------------

@@ -4,8 +4,8 @@
  * container survives concurrent same-key stores, a hit serves the
  * byte-identical canonical document a direct run emits, invalidation
  * is component-scoped (a directory bump leaves snoop cells warm),
- * corrupt entries fall back to recompute-and-replace, and the warm
- * path is --jobs invariant.
+ * corrupt and older-layout entries fall back to recompute-and-replace,
+ * spec keys are pinned, and the warm path is --jobs invariant.
  */
 
 #include <gtest/gtest.h>
@@ -106,6 +106,20 @@ spit(const std::string &path, const std::vector<std::uint8_t> &raw)
     ASSERT_NE(f, nullptr);
     ASSERT_EQ(std::fwrite(raw.data(), 1, raw.size(), f), raw.size());
     std::fclose(f);
+}
+
+/** Overwrite the entry header's version field of @p raw and reseal
+ *  the trailing FNV-1a checksum, so only the version is wrong. */
+void
+setEntryVersion(std::vector<std::uint8_t> &raw, std::uint32_t version)
+{
+    for (int i = 0; i < 4; ++i)
+        raw[8 + i] = static_cast<std::uint8_t>(version >> (8 * i));
+    std::uint64_t h = 1469598103934665603ull;
+    for (std::size_t i = 0; i + 8 < raw.size(); ++i)
+        h = (h ^ raw[i]) * 1099511628211ull;
+    for (int i = 0; i < 8; ++i)
+        raw[raw.size() - 8 + i] = static_cast<std::uint8_t>(h >> (8 * i));
 }
 
 /** Pin @p path's mtime to an explicit timestamp, so LRU ordering in
@@ -291,6 +305,84 @@ TEST(ResultCache, CorruptEntryFallsBackToRecompute)
     spit(path, whole);
     EXPECT_FALSE(rcache.lookup(spec, out));
     EXPECT_EQ(rcache.counters().corrupt, 2u);
+}
+
+// An entry written by an older layout is superseded, not damaged:
+// it reads as Stale (deleted, recomputed), while a version from the
+// future is Corrupt.
+TEST(ResultCache, OlderEntryVersionReadsAsStale)
+{
+    setQuiet(true);
+    cache::ResultCache rcache(scratchDir("version"));
+    const ExperimentSpec spec = workerSpec("cache/version");
+
+    Runner runner;
+    runner.attachCache(&rcache);
+    const RunRecord direct = runner.execute(spec);
+    ASSERT_TRUE(direct.verified);
+
+    const std::string path = rcache.entryPath(spec);
+    auto old_entry = slurp(path);
+    setEntryVersion(old_entry, cache::recordVersion - 1);
+    spit(path, old_entry);
+
+    RunRecord out;
+    EXPECT_FALSE(rcache.lookup(spec, out));
+    auto c = rcache.counters();
+    EXPECT_EQ(c.stale, 1u);
+    EXPECT_EQ(c.corrupt, 0u);
+    EXPECT_FALSE(fileExists(path)) << "stale entry not deleted";
+
+    // The recompute stores a current-version entry in its place.
+    EXPECT_EQ(canonicalJson(runner.execute(spec)), canonicalJson(direct));
+    EXPECT_TRUE(rcache.lookup(spec, out));
+
+    auto future = slurp(path);
+    setEntryVersion(future, cache::recordVersion + 1);
+    spit(path, future);
+    std::string err;
+    EXPECT_EQ(cache::loadRecord(path, out,
+                                cache::ResultCache::specKey(spec),
+                                cache::codeFingerprint(
+                                    spec, rcache.versions()),
+                                err),
+              cache::LoadStatus::Corrupt);
+}
+
+// The spec key addresses every stored entry, so its value is part of
+// the on-disk contract: these are the keys the parent layout produced
+// for fixed cells (directory, snooping bus, and a sequential
+// reference keyed on its 1-node machine). A change here orphans
+// every existing cache entry.
+TEST(ResultCache, SpecKeyIsPinned)
+{
+    ExperimentSpec dir;
+    dir.id = "pin/dir";
+    dir.app = "worker";
+    dir.params = {{"wss", "3"}, {"iterations", "2"}};
+    dir.protocol = ProtocolConfig::hw(2);
+    dir.nodes = 16;
+    dir.victimEntries = 6;
+    dir.seed = 99;
+    dir.jitterMax = 17;
+    dir.jitterSeed = 5;
+    dir.audit = true;
+    EXPECT_EQ(cache::ResultCache::specKey(dir), 0xd63fe91b33c4ef74ull);
+
+    ExperimentSpec seq = dir;
+    seq.sequential = true;
+    seq.trackSharing = true;
+    EXPECT_EQ(cache::ResultCache::specKey(seq), 0xf2b0f5354447b228ull);
+
+    ExperimentSpec bus;
+    bus.id = "pin/snoop";
+    bus.app = "falseshare";
+    bus.params = {{"iterations", "4"}};
+    bus.nodes = 4;
+    bus.machineModel = MachineModel::Snoop;
+    bus.snoopProtocol = SnoopProtocol::Moesi;
+    bus.busArbitration = BusArbitration::RoundRobin;
+    EXPECT_EQ(cache::ResultCache::specKey(bus), 0x947b1504f72aeedfull);
 }
 
 TEST(ResultCache, WarmSweepIsJobsInvariant)

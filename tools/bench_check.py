@@ -14,14 +14,6 @@ that $SWEX_RUN_JSON produces the same document shape, and runs one
 snooping-bus experiment to validate the optional machine_model field
 (directory records omit it; bus records must carry "snoop").
 
-With --replay-equiv the positional binary is swex_cli; the script
-records a run into a scratch trace directory, validates every emitted
-swex-trace-v1 file (magic, version, schema, header and payload FNV-1a
-checksums, stream table consistency), then replays — under the
-recording config and under a different protocol via the portable
-trace — and requires bit-identical sim_cycles and image_hash against
-direct execution.
-
 With --cache-equiv the positional binary is swex_cli; the script runs
 the same experiment direct, cold-cache, and warm-cache and requires
 the canonical swex-run-v1 documents to be byte-identical, checks that
@@ -43,7 +35,6 @@ import argparse
 import json
 import math
 import os
-import struct
 import subprocess
 import sys
 import tempfile
@@ -177,82 +168,6 @@ def check_run_json(json_path, expect_records):
     return len(records)
 
 
-# swex-trace-v1 container constants (src/trace/trace_format.cc).
-TRACE_MAGIC = b"SWEXTRC1"
-TRACE_VERSION = 1
-TRACE_SCHEMA = 1
-FNV_OFFSET = 1469598103934665603
-FNV_PRIME = 1099511628211
-MASK64 = (1 << 64) - 1
-
-
-def fnv1a(h, data):
-    for b in data:
-        h = ((h ^ b) * FNV_PRIME) & MASK64
-    return h
-
-
-def check_trace_file(path):
-    """Validate one swex-trace-v1 file independently of the C++
-    loader: header layout, stream table, and both checksums. Returns
-    (app, nstreams, recorded_cycles)."""
-    with open(path, "rb") as f:
-        blob = f.read()
-
-    def fail(why):
-        sys.exit(f"FAIL: {path}: {why}")
-
-    if blob[:8] != TRACE_MAGIC:
-        fail(f"bad magic {blob[:8]!r}")
-    if len(blob) < 68:
-        fail("truncated header")
-    version, schema, flags, nodes, nstreams = \
-        struct.unpack_from("<5I", blob, 8)
-    if version != TRACE_VERSION:
-        fail(f"unknown trace version {version}")
-    if schema != TRACE_SCHEMA:
-        fail(f"unknown op schema {schema}")
-    if not 1 <= nstreams <= 4096:
-        fail(f"implausible stream count {nstreams}")
-    off = 28
-    _fp, cycles, _image, _seed = struct.unpack_from("<4Q", blob, off)
-    off += 32
-    strs = []
-    for what in ("app", "params", "protocol"):
-        if off + 4 > len(blob):
-            fail(f"truncated {what} string")
-        (n,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        if off + n > len(blob):
-            fail(f"truncated {what} string")
-        strs.append(blob[off:off + n].decode("utf-8", "replace"))
-        off += n
-    stream_bytes = 0
-    for i in range(nstreams):
-        if off + 16 > len(blob):
-            fail(f"truncated stream table at entry {i}")
-        blen, ops = struct.unpack_from("<2Q", blob, off)
-        off += 16
-        if blen == 0 or ops == 0:
-            fail(f"stream {i} is empty ({blen} bytes, {ops} ops)")
-        stream_bytes += blen
-    if off + 8 > len(blob):
-        fail("missing header checksum")
-    (header_fnv,) = struct.unpack_from("<Q", blob, off)
-    if fnv1a(FNV_OFFSET, blob[:off]) != header_fnv:
-        fail("header checksum mismatch")
-    off += 8
-    if len(blob) != off + stream_bytes + 8:
-        fail(f"file size {len(blob)} does not match header + "
-             f"{stream_bytes} payload bytes + checksum")
-    (payload_fnv,) = struct.unpack_from("<Q", blob, off + stream_bytes)
-    if fnv1a(FNV_OFFSET, blob[off:off + stream_bytes]) != payload_fnv:
-        fail("payload checksum mismatch")
-    if cycles == 0:
-        fail("recorded cycle count is zero")
-    return strs[0], nstreams, cycles
-
-
 def cli_run(binary, args, json_path):
     proc = subprocess.run(
         [binary, *args, "--json", json_path],
@@ -265,60 +180,6 @@ def cli_run(binary, args, json_path):
     if not isinstance(records, list) or len(records) != 1:
         sys.exit(f"FAIL: expected 1 record from {' '.join(args)}")
     return records[0]
-
-
-def check_replay_equiv(binary, tmp):
-    """Record, validate the trace container, replay, and require
-    bit-identical results — both under the recording config and under
-    a different protocol via the portable trace."""
-    trace_dir = os.path.join(tmp, "traces")
-    os.mkdir(trace_dir)
-    spec = ["--app", "worker", "--nodes", "8", "--protocol", "h5",
-            "--wss", "4", "--iters", "2"]
-    recorded = cli_run(binary, spec + ["--record",
-                                       "--trace-dir", trace_dir],
-                       os.path.join(tmp, "record.json"))
-
-    traces = sorted(f for f in os.listdir(trace_dir)
-                    if f.endswith(".swextrace"))
-    if not traces:
-        sys.exit("FAIL: --record left no .swextrace file")
-    for t in traces:
-        app, nstreams, cycles = check_trace_file(
-            os.path.join(trace_dir, t))
-        print(f"OK: {t}: app={app} streams={nstreams} "
-              f"cycles={cycles}")
-
-    checks = 0
-    # Exact-config replay vs the recording run itself.
-    replayed = cli_run(binary, spec + ["--replay",
-                                       "--trace-dir", trace_dir],
-                       os.path.join(tmp, "replay.json"))
-    pairs = [("recording config", recorded, replayed)]
-    # Portable cross-protocol replay vs a direct run of that config.
-    other = ["--app", "worker", "--nodes", "8", "--protocol",
-             "h1ack", "--wss", "4", "--iters", "2"]
-    pairs.append(("h1ack via portable trace",
-                  cli_run(binary, other,
-                          os.path.join(tmp, "direct2.json")),
-                  cli_run(binary, other + ["--replay",
-                                           "--trace-dir", trace_dir],
-                          os.path.join(tmp, "replay2.json"))))
-    for what, direct, replay in pairs:
-        if replay.get("exec_mode") != "replay":
-            sys.exit(f"FAIL: {what}: replay record not marked "
-                     f"exec_mode=replay")
-        for key in ("sim_cycles", "image_hash"):
-            if direct.get(key) != replay.get(key):
-                sys.exit(f"FAIL: {what}: {key} diverged: direct "
-                         f"{direct.get(key)!r} vs replay "
-                         f"{replay.get(key)!r}")
-        if not replay.get("verified"):
-            sys.exit(f"FAIL: {what}: replay record not verified")
-        print(f"OK: {what}: sim_cycles={direct['sim_cycles']} "
-              f"image_hash={direct['image_hash']} bit-identical")
-        checks += 1
-    return checks
 
 
 def canonical_doc(binary, args, json_path, extra_env=None):
@@ -586,9 +447,6 @@ def main():
                          "(or swex_cli with --cli)")
     ap.add_argument("--cli", action="store_true",
                     help="validate swex-run-v1 records from swex_cli")
-    ap.add_argument("--replay-equiv", action="store_true",
-                    help="validate swex-trace-v1 files and "
-                         "direct-vs-replay bit-identity via swex_cli")
     ap.add_argument("--cache-equiv", action="store_true",
                     help="validate result-cache and serve byte-"
                          "identity via swex_cli")
@@ -598,9 +456,6 @@ def main():
         if args.cache_equiv:
             n = check_cache_equiv(args.binary, tmp)
             print(f"OK: {n} cache equivalence checks passed")
-        elif args.replay_equiv:
-            n = check_replay_equiv(args.binary, tmp)
-            print(f"OK: {n} replay equivalence checks passed")
         elif args.cli:
             n = run_cli(args.binary, tmp)
             print(f"OK: {n} run records validated")

@@ -5,21 +5,19 @@
 # stress label runs the (app x protocol x seed) grid with --jobs 4,
 # so any cross-run shared state in the simulator shows up as a race.
 # The stress label also carries the fault-injection sweep, the
-# record/replay stress leg (stress_replay: every grid cell records
-# its op streams and replays them on a fresh machine, digests must
-# match), the snooping machine-model grid (stress_snoop: 4 bus
-# protocols x 2 arbitration disciplines over the sharing
-# microbenchmarks, auditor attached), the content-addressed result
-# cache leg (stress_cache: cold store then warm re-sweep against one
-# scratch cache, so concurrent entry stores and the lock-free counters
-# race under TSan), and the --jobs + replay + snoop + cache
-# determinism gate (sweep_determinism); SWEX_DET_SEEDS keeps the
-# gates' seed counts small enough for sanitized binaries. The tier-1
-# pass also carries test_serve, which runs a real multi-client server
-# in-process — per-connection reader threads feeding the shared run
-# pool, server-side sweeps, chunked resume, overload shedding, idle
-# timeouts, and SIGTERM drain — so the serve path's
-# connection-lifetime discipline is TSan-checked on every matrix run.
+# snooping machine-model grid (stress_snoop: 4 bus protocols x 2
+# arbitration disciplines over the sharing microbenchmarks, auditor
+# attached), the content-addressed result cache leg (stress_cache:
+# cold store then warm re-sweep against one scratch cache, so
+# concurrent entry stores and the lock-free counters race under TSan),
+# and the --jobs + snoop + cache determinism gate (sweep_determinism);
+# SWEX_DET_SEEDS keeps the gates' seed counts small enough for
+# sanitized binaries. The tier-1 pass also carries test_serve, which
+# runs a real multi-client server in-process — per-connection reader
+# threads feeding the shared run pool, server-side sweeps, chunked
+# resume, overload shedding, idle timeouts, and SIGTERM drain — so the
+# serve path's connection-lifetime discipline is TSan-checked on every
+# matrix run.
 # The stress label adds stress_serve, the socket-level chaos harness
 # (torn writes, garbage, resets, stalled peers, kill-and-reconnect
 # resumable sweeps over Unix and TCP); SWEX_SERVE_CONNS scales its

@@ -43,9 +43,6 @@
 #include "exp/pool.hh"
 #include "exp/spec.hh"
 #include "machine/machine.hh"
-#include "trace/recorder.hh"
-#include "trace/replay.hh"
-#include "trace/trace_format.hh"
 
 using namespace swex;
 
@@ -59,7 +56,6 @@ struct Options
     int nodes = 16;
     Cycles jitterMax = 37;
     unsigned jobs = 1;
-    bool replay = false;       ///< record, replay, digest the replay
     std::string cacheDir;      ///< result cache; "" = every cell runs
     std::uint64_t cacheMaxBytes = 0;     ///< LRU budget (0=unbounded)
     std::uint64_t cacheMaxEntries = 0;   ///< LRU budget (0=unbounded)
@@ -239,11 +235,6 @@ stressRun(const StressApp &sa, const GridPoint &pt,
 
     MachineConfig mc = spec.machine();
     mc.net.traceDepth = 64;
-    // --replay: capture the op streams during the direct run so the
-    // cell can be re-executed from the trace below.
-    const bool replaying = opt.replay && adversarial;
-    if (replaying)
-        mc.executionMode = ExecutionMode::Record;
 
     auto app = AppRegistry::instance().make(sa.name, params,
                                             opt.nodes);
@@ -288,52 +279,6 @@ stressRun(const StressApp &sa, const GridPoint &pt,
             "full-map reference %016llx",
             static_cast<unsigned long long>(r.image),
             static_cast<unsigned long long>(*expect_image)));
-    }
-
-    // --replay: re-execute the cell from the recorded op streams on a
-    // fresh machine under the identical (config-bound) configuration
-    // and require bit-identity; the digest is then computed from the
-    // replay machine's numbers, so `--replay` and direct sweeps must
-    // print the same grid digest. Cells that blew their deadline have
-    // truncated streams and cannot replay; their direct numbers feed
-    // the digest unchanged.
-    if (replaying && completed) {
-        const TraceRecorder *rec = m.recorder();
-        trace::Trace t;
-        t.meta.appNodes = static_cast<std::uint32_t>(opt.nodes);
-        t.meta.numThreads =
-            static_cast<std::uint32_t>(rec->numThreads());
-        t.meta.configFingerprint = trace::configFingerprint(mc);
-        t.meta.recordedCycles = r.cycles;
-        t.meta.recordedImageHash = r.image;
-        t.meta.seed = mc.seed;
-        t.meta.app = sa.name;
-        t.meta.params = trace::canonicalAppParams(params);
-        t.meta.protocol = mc.protocol.name();
-        for (int i = 0; i < rec->numThreads(); ++i)
-            t.streams.push_back(rec->stream(i));
-        trace::ReplayProgram prog(std::move(t));
-
-        MachineConfig rmc = mc;
-        rmc.executionMode = ExecutionMode::Replay;
-        auto rapp = AppRegistry::instance().make(sa.name, params,
-                                                opt.nodes);
-        Machine rm(rmc);
-        rapp->setup(rm);
-        Tick rcycles = rm.runReplay(prog.sources());
-        std::uint64_t rimage = rm.imageHash();
-        if (rm.runStatus() != Machine::RunStatus::Completed ||
-            rcycles != r.cycles || rimage != r.image) {
-            failures.push_back(strfmt(
-                "replay diverged from direct execution: cycles "
-                "%llu vs %llu, image %016llx vs %016llx",
-                static_cast<unsigned long long>(rcycles),
-                static_cast<unsigned long long>(r.cycles),
-                static_cast<unsigned long long>(rimage),
-                static_cast<unsigned long long>(r.image)));
-        }
-        r.cycles = rcycles;
-        r.image = rimage;
     }
 
     if (!failures.empty()) {
@@ -476,9 +421,6 @@ usage()
         "  --jitter <c>      max extra delivery delay (default 37)\n"
         "  --jobs <n>        concurrent runs on host threads "
         "(default 1; output is identical at any value)\n"
-        "  --replay          record each cell's op streams, replay "
-        "them on a fresh machine, and digest the replay run; the "
-        "grid digest must match a direct sweep bit for bit\n"
         "  --cache <dir>     content-addressed result cache: warm "
         "cells serve their stored (cycles, image) without running; "
         "cold cells run as usual and store back. The grid digest is "
@@ -530,8 +472,6 @@ main(int argc, char **argv)
         else if (a == "--jobs")
             opt.jobs = static_cast<unsigned>(
                 parseLong(a, next(), 1, 256));
-        else if (a == "--replay")
-            opt.replay = true;
         else if (a == "--cache")
             opt.cacheDir = next();
         else if (a == "--cache-max-bytes")

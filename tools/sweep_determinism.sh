@@ -14,25 +14,19 @@
 # (default 200; the sanitizer legs use a smaller count because TSan
 # slows the grid by an order of magnitude).
 #
-# A third leg re-runs the grid with --replay (every cell records its
-# op streams, replays them on a fresh machine, and digests the replay
-# run): the replayed digest must equal the direct one bit for bit,
-# gating the record/replay fast path with the same precision as the
-# --jobs gate. SWEX_DET_REPLAY=0 skips it.
-#
-# A fourth leg gates the snooping machine-model grid (--family snoop:
+# A second leg gates the snooping machine-model grid (--family snoop:
 # 4 protocols x 2 bus disciplines over the sharing microbenchmarks)
 # the same way: the digest must not depend on --jobs.
 # SWEX_DET_SNOOP=0 skips it.
 #
-# A fifth leg gates the content-addressed result cache: the grid runs
+# A third leg gates the content-addressed result cache: the grid runs
 # twice against one scratch cache directory — cold (every cell
 # simulates and stores) and warm (every cell served from disk) — and
 # both digests must equal the direct digest bit for bit. A cache that
 # changes a published number is worse than no cache.
 # SWEX_DET_CACHE=0 skips it.
 #
-# A sixth leg gates the sweep server: tools/stress_serve runs its
+# A fourth leg gates the sweep server: tools/stress_serve runs its
 # fixed 12-cell grid once in-process (--direct) and once through the
 # full chaos harness (torn writes, resets, shedding, kill-and-resume
 # sweeps over Unix and TCP sockets), and the two digests must match
@@ -77,23 +71,6 @@ if [ "${par}" != "${ser}" ]; then
     exit 1
 fi
 echo "OK: digests identical"
-
-if [ "${SWEX_DET_REPLAY:-1}" != "0" ]; then
-    echo "== replay equivalence: --replay vs direct"
-    rep=$("${stress}" --app worker --seeds "${seeds}" \
-          --jobs "${jobs}" --replay "$@" | extract_digest)
-    if [ -z "${rep}" ]; then
-        echo "error: no grid digest line in --replay output" >&2
-        exit 1
-    fi
-    echo "   --replay: ${rep}"
-    if [ "${rep}" != "${par}" ]; then
-        echo "FAIL: replayed grid digest differs from direct" \
-             "(${rep} != ${par})" >&2
-        exit 1
-    fi
-    echo "OK: replayed digest identical"
-fi
 
 if [ "${SWEX_DET_SNOOP:-1}" != "0" ]; then
     echo "== snoop grid determinism: --jobs ${jobs} vs --jobs 1"

@@ -139,20 +139,10 @@ usage()
         "  --perfect-ifetch   one-cycle instruction fetch\n"
         "  --no-local-bit     disable the one-bit local pointer\n"
         "  --parallel-inv     Section 7 parallel invalidation\n"
-        "  --record           capture the run's op streams into the\n"
-        "                     trace cache (--trace-dir or\n"
-        "                     $SWEX_TRACE_CACHE) for later --replay\n"
-        "  --replay           drive the machine from a recorded trace\n"
-        "                     instead of executing the app (identical\n"
-        "                     cycle counts, much faster); with --sweep,\n"
-        "                     records each portable trace once and\n"
-        "                     replays every cell from it\n"
-        "  --trace-dir <path> trace cache directory (default\n"
-        "                     $SWEX_TRACE_CACHE)\n"
         "  --cache-dir <path> content-addressed result cache: warm\n"
         "                     cells are served from disk instead of\n"
-        "                     simulated, and finished direct runs are\n"
-        "                     stored back (default $SWEX_RESULT_CACHE;\n"
+        "                     simulated, and finished runs are stored\n"
+        "                     back (default $SWEX_RESULT_CACHE;\n"
         "                     records are byte-identical either way)\n"
         "  --cache-max-bytes <n>   bound the result cache (0 =\n"
         "                     unbounded): stores evict least-recently-\n"
@@ -311,12 +301,11 @@ void
 listEverything()
 {
     std::printf("applications:\n");
-    std::printf("  %-10s %-9s %-16s %s\n", "name", "portable",
-                "machine models", "summary");
+    std::printf("  %-10s %-16s %s\n", "name", "machine models",
+                "summary");
     for (const std::string &name : AppRegistry::instance().names()) {
         const auto &e = AppRegistry::instance().entry(name);
-        std::printf("  %-10s %-9s %-16s %s\n", name.c_str(),
-                    e.tracePortable ? "yes" : "no",
+        std::printf("  %-10s %-16s %s\n", name.c_str(),
                     e.machineModels.c_str(), e.summary.c_str());
     }
     std::printf("\ndirectory protocols (--protocol):\n");
@@ -475,15 +464,15 @@ remoteRequest(const char *op, const ExperimentSpec &spec,
 /**
  * The --connect front end: the same option surface, executed by a
  * server instead of the local simulator. Knobs that only the local
- * machine honors (trace record/replay, --seq, --stats, structural
+ * machine honors (--seq, --stats, structural
  * protocol edits) are usage errors, not silent no-ops.
  */
 int
 remoteMain(const std::string &addr, const ExperimentSpec &spec,
            const std::string &proto, const std::string &bus,
-           bool want_sweep, int sweep_seeds, bool record_replay,
-           bool seq_stats, bool local_bit_off,
-           const std::string &json_path, int deadline_ms,
+           bool want_sweep, int sweep_seeds, bool seq_stats,
+           bool local_bit_off, const std::string &json_path,
+           int deadline_ms,
            int attempts, int chunk_cells)
 {
     auto usageError = [](const std::string &msg) {
@@ -491,9 +480,6 @@ remoteMain(const std::string &addr, const ExperimentSpec &spec,
         std::fprintf(stderr, "run 'swex_cli --help' for usage\n");
         std::exit(2);
     };
-    if (record_replay)
-        usageError("--record/--replay drive the local trace cache; "
-                   "drop them for --connect");
     if (seq_stats)
         usageError("--seq and --stats need the local simulator; drop "
                    "them for --connect");
@@ -655,8 +641,6 @@ main(int argc, char **argv)
     std::string proto = "h5";
     std::string bus;
     bool local_bit_off = false;
-    bool want_record = false;
-    bool want_replay = false;
     bool want_seq = false;
     bool want_stats = false;
     bool want_sweep = false;
@@ -716,9 +700,6 @@ main(int argc, char **argv)
             spec.faultSeed = parseU64(a, next());
         else if (a == "--deadline")
             spec.deadline = static_cast<Tick>(parseU64(a, next()));
-        else if (a == "--record") want_record = true;
-        else if (a == "--replay") want_replay = true;
-        else if (a == "--trace-dir") spec.traceDir = next();
         else if (a == "--cache-dir") cache_dir = next();
         else if (a == "--cache-max-bytes")
             cache_max_bytes = parseU64(a, next());
@@ -783,10 +764,9 @@ main(int argc, char **argv)
 
     if (!connect_addr.empty())
         return remoteMain(connect_addr, spec, proto, bus, want_sweep,
-                          sweep_seeds, want_record || want_replay,
-                          want_seq || want_stats, local_bit_off,
-                          json_path, rpc_deadline_ms, rpc_attempts,
-                          chunk_cells);
+                          sweep_seeds, want_seq || want_stats,
+                          local_bit_off, json_path, rpc_deadline_ms,
+                          rpc_attempts, chunk_cells);
 
     SnoopProtocol snoop_proto{};
     const bool snoop = parseSnoopProtocol(proto, snoop_proto);
@@ -811,30 +791,14 @@ main(int argc, char **argv)
     if (!AppRegistry::instance().contains(spec.app))
         fatal("unknown app '%s' (try --list)", spec.app.c_str());
 
-    // Record/replay plumbing. Misuse is a usage error (exit 2), per
-    // the CLI convention for malformed invocations: the run never
-    // starts, and the message says exactly how to fix the call.
+    // Misuse is a usage error (exit 2), per the CLI convention for
+    // malformed invocations: the run never starts, and the message
+    // says exactly how to fix the call.
     auto usageError = [](const std::string &msg) {
         std::fprintf(stderr, "swex_cli: %s\n", msg.c_str());
         std::fprintf(stderr, "run 'swex_cli --help' for usage\n");
         std::exit(2);
     };
-    if (want_record && want_replay)
-        usageError("--record and --replay are mutually exclusive");
-    if (want_record)
-        spec.execMode = ExecutionMode::Record;
-    if (want_replay)
-        spec.execMode = ExecutionMode::Replay;
-    if (spec.execMode != ExecutionMode::Direct &&
-        trace::resolveTraceDir(spec.traceDir).empty()) {
-        usageError(std::string(want_record ? "--record" : "--replay") +
-                   " needs a trace cache: pass --trace-dir or set "
-                   "$SWEX_TRACE_CACHE");
-    }
-    if (want_replay && want_seq)
-        usageError("--replay runs one recorded kernel; drop --seq "
-                   "(record and replay the sequential reference via "
-                   "--seq --record / a sequential spec instead)");
     const bool faults_on = spec.faultDropPerMille != 0 ||
                            spec.faultDupPerMille != 0 ||
                            spec.faultBlackoutPerMille != 0;
@@ -860,24 +824,11 @@ main(int argc, char **argv)
     if (faults_on && spec.deadline == 0)
         spec.deadline = 50'000'000;
 
-    // After every config default is in force (the deadline is part of
-    // the machine fingerprint): a --replay with no usable trace must
-    // fail before the run starts, with the reason and the fix.
-    if (want_replay && !want_sweep) {
-        trace::Trace probe;
-        std::string err = Runner::findReplayTrace(spec, probe);
-        if (!err.empty()) {
-            usageError("--replay: no usable recorded trace: " + err +
-                       " (record one first with the same --app/--param/"
-                       "--nodes and --record)");
-        }
-    }
-
     setQuiet(true);
 
     // The content-addressed result cache (tentpole of the sweep
-    // tier): warm cells skip simulation, finished direct cells are
-    // stored back. The emitted records are byte-identical with the
+    // tier): warm cells skip simulation, finished cells are stored
+    // back. The emitted records are byte-identical with the
     // cache on, off, cold, or warm — it only changes how fast they
     // arrive.
     std::unique_ptr<cache::ResultCache> result_cache;
@@ -928,15 +879,9 @@ main(int argc, char **argv)
                     specs.size() / static_cast<std::size_t>(sweep_seeds),
                     sweep_seeds, jobs);
 
-        // --replay/--record engage the record-once fast path: each
-        // portable trace key records one cell, every other cell
-        // replays it; non-portable apps fall back to direct cells.
         Runner runner(/*fail_fast=*/false);
         runner.attachCache(result_cache.get());
-        std::vector<RunRecord *> recs =
-            want_replay || want_record
-                ? runner.runAllReplay(specs, jobs, spec.traceDir)
-                : runner.runAll(specs, jobs);
+        std::vector<RunRecord *> recs = runner.runAll(specs, jobs);
 
         bool all_ok = true;
         std::size_t i = 0;
