@@ -2,8 +2,9 @@
  * @file
  * Google-benchmark microbenchmarks of the simulator substrates: event
  * queue throughput (callback shim, intrusive events, spill heap, and
- * a fig2-like delay mix), message pooling, cache lookup/fill,
- * extended-directory operations, network injection, and a
+ * a fig2-like delay mix), message pooling, cache lookup/fill and
+ * victim swaps, directory entry lookup, extended-directory
+ * operations, network injection, and a
  * whole-machine WORKER iteration. These track the host-side
  * performance of the simulator itself.
  *
@@ -17,6 +18,7 @@
 #include "apps/worker.hh"
 #include "base/rng.hh"
 #include "bench_support.hh"
+#include "core/directory.hh"
 #include "core/ext_directory.hh"
 #include "machine/mem_api.hh"
 #include "net/message_pool.hh"
@@ -203,6 +205,45 @@ BM_CacheFillAccess(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CacheFillAccess);
+
+/**
+ * Victim-buffer hits: seven blocks share one set, one in the set and
+ * six parked in the buffer, and every access swaps a parked block
+ * back in from a different FIFO position.
+ */
+void
+BM_CacheVictimSwap(benchmark::State &state)
+{
+    stats::Group g;
+    Cache cache(64 * 1024, 6, &g);
+    constexpr Addr stride = 64 * 1024;   // same set, next tag
+    for (Addr i = 0; i < 7; ++i)
+        cache.fill(i * stride, LineState::Shared, DataBlock{});
+    Addr next = 0;
+    for (auto _ : state) {
+        bool vh = false;
+        benchmark::DoNotOptimize(cache.access(next * stride, vh));
+        next = (next + 3) % 7;
+    }
+}
+BENCHMARK(BM_CacheVictimSwap);
+
+/** The home controller's per-message DirEntry lookup: a 64 KB heap
+ *  of touched blocks (as an app allocates them), hit at random. */
+void
+BM_DirectoryEntryLookup(benchmark::State &state)
+{
+    Directory dir;
+    constexpr Addr blocks = 4096;
+    for (Addr i = 0; i < blocks; ++i)
+        dir.entry(i * blockBytes);
+    Rng rng(4);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            &dir.entry(rng.below(blocks) * blockBytes));
+    }
+}
+BENCHMARK(BM_DirectoryEntryLookup);
 
 void
 BM_ExtDirectoryChurn(benchmark::State &state)

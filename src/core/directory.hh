@@ -13,11 +13,11 @@
 #include <array>
 #include <bitset>
 #include <cstdint>
-#include <unordered_map>
 
 #include "base/logging.hh"
 #include "base/types.hh"
 #include "core/protocol.hh"
+#include "mem/block_table.hh"
 
 namespace swex
 {
@@ -139,37 +139,14 @@ struct DirEntry
 };
 
 /**
- * The directory of one home node: lazily-populated map from block
- * address to entry. (The real hardware holds an entry per memory
- * block; lazily allocating identical default entries is equivalent.)
+ * The directory of one home node: an entry per block of the node's
+ * memory segment, as the hardware keeps one next to each memory block
+ * (paged in when first touched; an untouched block reads as absent).
  */
-class Directory
+class Directory : public BlockTable<DirEntry>
 {
   public:
-    /** Get (creating if absent) the entry for a block. */
-    DirEntry &entry(Addr block_addr) { return entries[block_addr]; }
-
-    /** Read-only lookup; nullptr if the block was never referenced. */
-    const DirEntry *
-    lookup(Addr block_addr) const
-    {
-        auto it = entries.find(block_addr);
-        return it == entries.end() ? nullptr : &it->second;
-    }
-
-    std::size_t size() const { return entries.size(); }
-
-    /** Iterate over all touched entries (used by stats/tests). */
-    template <typename Fn>
-    void
-    forEach(Fn &&fn) const
-    {
-        for (const auto &[addr, e] : entries)
-            fn(addr, e);
-    }
-
-  private:
-    std::unordered_map<Addr, DirEntry> entries;
+    using BlockTable::BlockTable;
 };
 
 } // namespace swex

@@ -23,6 +23,19 @@ trapKindName(TrapKind k)
     }
 }
 
+void
+NodeServices::scheduleTrapDone(Cycles delay, HomeController &hc,
+                               Addr block_addr)
+{
+    schedule(delay, [&hc, block_addr] { hc.trapDone(block_addr); });
+}
+
+void
+NodeServices::schedule(Cycles, std::function<void()>)
+{
+    panic("this node cannot schedule deferred controller work");
+}
+
 const char *
 dirStateName(DirState s)
 {
@@ -252,6 +265,8 @@ HomeController::HomeController(NodeId home_id, int num_nodes,
           {&statsGroup, "trapsSwRequest", "software-only request traps"},
           {&statsGroup, "trapsSwBusy", "software busy-reply traps"},
       },
+      dir(services.memory().segmentBase(),
+          services.memory().segmentBytes()),
       ext(&statsGroup),
       home(home_id), nodes(num_nodes), cfg(config), node(services),
       costs(config.profile)
@@ -386,6 +401,13 @@ HomeController::replayDeferred(Addr block_addr)
     }
     if (q.empty())
         deferred.erase(it);
+}
+
+void
+HomeController::trapDone(Addr block_addr)
+{
+    if (!dir.entry(block_addr).trapPending())
+        replayDeferred(block_addr);
 }
 
 void
@@ -821,11 +843,7 @@ HomeController::runTrap(const TrapItem &item)
     if (!e.trapPending()) {
         // Replay requests the CMMU parked during the trap, once the
         // handler's occupancy has elapsed.
-        Addr a = blockAlign(item.msg.addr);
-        node.schedule(total, [this, a] {
-            if (!dir.entry(a).trapPending())
-                replayDeferred(a);
-        });
+        node.scheduleTrapDone(total, *this, blockAlign(item.msg.addr));
     }
 
     handlerCycles += static_cast<double>(total);

@@ -67,6 +67,13 @@ class HomeController
      */
     Cycles runTrap(const TrapItem &item);
 
+    /**
+     * The end of a handler's occupancy for @p block_addr (scheduled
+     * through NodeServices::scheduleTrapDone): replay the requests
+     * parked behind the block's traps, unless another is queued.
+     */
+    void trapDone(Addr block_addr);
+
     /** Optional exact worker-set tracker (shared, machine-wide). */
     void setTracker(SharingTracker *t) { tracker = t; }
 

@@ -20,6 +20,8 @@
 namespace swex
 {
 
+class HomeController;
+
 /** Why the hardware interrupted the home processor. */
 enum class TrapKind : std::uint8_t
 {
@@ -63,8 +65,20 @@ class NodeServices
     /** The node's main memory. */
     virtual MemoryModule &memory() = 0;
 
-    /** Schedule deferred controller work @p delay cycles from now. */
-    virtual void schedule(Cycles delay, std::function<void()> fn) = 0;
+    /**
+     * Call @p hc.trapDone(@p block_addr) @p delay cycles from now, at
+     * controller priority. The machine's Node does this with a pooled
+     * event; the default goes through schedule().
+     */
+    virtual void scheduleTrapDone(Cycles delay, HomeController &hc,
+                                  Addr block_addr);
+
+    /**
+     * Run @p fn @p delay cycles from now. Only the default
+     * scheduleTrapDone() calls it, for a node that keeps no event
+     * queue; the default panics.
+     */
+    virtual void schedule(Cycles delay, std::function<void()> fn);
 };
 
 } // namespace swex

@@ -1,8 +1,10 @@
 #include "machine/machine.hh"
 
+#include <algorithm>
 #include <ostream>
-#include <set>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "audit/auditor.hh"
 #include "base/intmath.hh"
@@ -169,16 +171,31 @@ std::uint64_t
 Machine::imageHash() const
 {
     // Canonical block set: everything any memory or cache has touched,
-    // in address order so the hash is interleaving-independent.
-    std::set<Addr> blocks;
+    // in address order so the hash is interleaving-independent. A
+    // block's value is what debugRead() returns for each of its words:
+    // the first dirty copy in node order, else home memory. One pass
+    // over the caches gathers both.
+    std::vector<Addr> blocks;
+    std::vector<std::pair<Addr, const DataBlock *>> dirty;
     for (const auto &node : nodes) {
         node->mem.forEachBlock(
-            [&](Addr a, const DataBlock &) { blocks.insert(a); });
-        node->cache().forEachLine([&](const CacheLine &line) {
+            [&](Addr a, const DataBlock &) { blocks.push_back(a); });
+        const Cache &c = node->cache();
+        c.forEachLine([&](const CacheLine &line) {
             if (line.state != LineState::Instr)
-                blocks.insert(line.blockAddr);
+                blocks.push_back(line.blockAddr);
+            // Only the copy peek() finds is the one debugRead() sees.
+            if (line.dirty() && c.peek(line.blockAddr) == &line)
+                dirty.emplace_back(line.blockAddr, &line.data);
         });
     }
+    std::sort(blocks.begin(), blocks.end());
+    blocks.erase(std::unique(blocks.begin(), blocks.end()), blocks.end());
+    // Stable, so a block's copy from the lowest node comes first.
+    std::stable_sort(dirty.begin(), dirty.end(),
+                     [](const auto &x, const auto &y) {
+                         return x.first < y.first;
+                     });
 
     std::uint64_t h = 0x243f6a8885a308d3ULL;
     auto mix = [&h](std::uint64_t v) {
@@ -188,21 +205,23 @@ Machine::imageHash() const
         h = z ^ (z >> 31);
     };
 
+    auto d = dirty.begin();
     for (Addr b : blocks) {
-        Word words[wordsPerBlock];
-        bool nonzero = false;
-        for (unsigned i = 0; i < wordsPerBlock; ++i) {
-            words[i] = debugRead(b + i * sizeof(Word));
-            nonzero = nonzero || words[i] != 0;
-        }
+        while (d != dirty.end() && d->first < b)
+            ++d;
+        const DataBlock &data =
+            d != dirty.end() && d->first == b
+                ? *d->second
+                : nodes[static_cast<std::size_t>(homeOf(b))]
+                      ->mem.readBlock(b);
         // All-zero blocks hash to nothing: which zero blocks were ever
         // materialized depends on the protocol and interleaving, not
         // on the program's result.
-        if (!nonzero)
+        if (data == DataBlock{})
             continue;
         mix(b);
-        for (unsigned i = 0; i < wordsPerBlock; ++i)
-            mix(words[i]);
+        for (Word w : data.words)
+            mix(w);
     }
     return h;
 }
@@ -251,35 +270,37 @@ Machine::debugWrite(Addr a, Word v)
 void
 Machine::checkCoherence() const
 {
-    // Collect dirty and exclusive-claim copies per block. At most one
-    // cache may hold data newer than memory (Modified/Owned), and a
-    // Modified or Exclusive line must be the sole copy. Owned lines
-    // (snooping MOESI/Dragon) legitimately coexist with Shared peers.
-    std::unordered_map<Addr, int> dirty;
-    std::unordered_map<Addr, int> sole;
-    std::unordered_map<Addr, int> copies;
+    // Count copies per block. At most one cache may hold data newer
+    // than memory (Modified/Owned), and a Modified or Exclusive line
+    // must be the sole copy. Owned lines (snooping MOESI/Dragon)
+    // legitimately coexist with Shared peers.
+    struct Copies
+    {
+        int all = 0;
+        int dirty = 0;
+        int sole = 0;   ///< Modified or Exclusive copies
+    };
+    std::unordered_map<Addr, Copies> copies;
     for (const auto &node : nodes) {
         node->cache().forEachLine([&](const CacheLine &line) {
             if (line.state == LineState::Instr)
                 return;
-            ++copies[line.blockAddr];
+            Copies &n = copies[line.blockAddr];
+            ++n.all;
             if (line.dirty())
-                ++dirty[line.blockAddr];
+                ++n.dirty;
             if (line.state == LineState::Modified ||
                 line.state == LineState::Exclusive) {
-                ++sole[line.blockAddr];
+                ++n.sole;
             }
         });
     }
-    for (const auto &[addr, n] : dirty) {
-        SWEX_ASSERT(n <= 1, "%d dirty copies of block %#llx", n,
-                    static_cast<unsigned long long>(addr));
-    }
-    for (const auto &[addr, n] : sole) {
-        SWEX_ASSERT(copies[addr] == 1,
+    for (const auto &[addr, n] : copies) {
+        SWEX_ASSERT(n.dirty <= 1, "%d dirty copies of block %#llx",
+                    n.dirty, static_cast<unsigned long long>(addr));
+        SWEX_ASSERT(n.sole == 0 || n.all == 1,
                     "exclusive block %#llx also cached elsewhere (%d)",
-                    static_cast<unsigned long long>(addr),
-                    copies[addr]);
+                    static_cast<unsigned long long>(addr), n.all);
     }
 }
 

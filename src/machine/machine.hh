@@ -64,7 +64,7 @@ struct MachineConfig
     /** -1: enable the livelock watchdog iff the protocol needs it. */
     int watchdog = -1;
 
-    std::uint64_t segBytes = 4ull << 20;   ///< memory per node
+    std::uint64_t segBytes = defaultSegBytes;   ///< memory per node
     std::uint64_t seed = 12345;
     Tick maxTicks = 4'000'000'000ull;      ///< runaway guard
 

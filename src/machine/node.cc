@@ -30,6 +30,7 @@ procConfig(const MachineConfig &mc)
 
 Node::Node(Machine &machine, NodeId id)
     : statsGroup(&machine.root, strfmt("node%d", static_cast<int>(id))),
+      mem(machine.nodeBase(id), machine.config().segBytes),
       proc(*this, procConfig(machine.config()), &statsGroup),
       _machine(machine), _id(id)
 {
@@ -140,9 +141,21 @@ Node::downgradeLocal(Addr block_addr)
 }
 
 void
-Node::schedule(Cycles delay, std::function<void()> fn)
+Node::scheduleTrapDone(Cycles delay, HomeController &hc, Addr block_addr)
 {
-    eventq().scheduleIn(delay, std::move(fn), EventPrio::Controller);
+    // A pooled event carries the block address, as a delayed send
+    // carries its message: no std::function on the trap path.
+    PooledMsgEvent &ev = _machine.network.msgPool().acquire(
+        &hc, &Node::trapDoneHandler, EventPrio::Controller);
+    ev.msg = Message{};
+    ev.msg.addr = block_addr;
+    eventq().scheduleIn(ev, delay);
+}
+
+void
+Node::trapDoneHandler(void *ctx, Message &msg)
+{
+    static_cast<HomeController *>(ctx)->trapDone(msg.addr);
 }
 
 } // namespace swex

@@ -45,7 +45,8 @@ class Node : public MsgReceiver, public NodeServices
     RemovalResult invalidateLocal(Addr block_addr) override;
     RemovalResult downgradeLocal(Addr block_addr) override;
     MemoryModule &memory() override { return mem; }
-    void schedule(Cycles delay, std::function<void()> fn) override;
+    void scheduleTrapDone(Cycles delay, HomeController &hc,
+                          Addr block_addr) override;
 
     // ---- coherence engine --------------------------------------------
     /** The node's cache, whichever model owns it. */
@@ -71,6 +72,7 @@ class Node : public MsgReceiver, public NodeServices
     void dispatchRx(const Message &msg);
     static void rxDispatchHandler(void *ctx, Message &msg);
     static void delayedSendHandler(void *ctx, Message &msg);
+    static void trapDoneHandler(void *ctx, Message &msg);
 
     Machine &_machine;
     NodeId _id;

@@ -217,17 +217,8 @@ SnoopNodeCoherence::serviceAtBus(const BusTxn &t)
 
     // Snoop phase: every peer observes the transaction now, in
     // node-id order (the serialization point).
-    struct PeerHit
-    {
-        SnoopNodeCoherence *c;
-        CacheLine *l;
-    };
-    std::vector<PeerHit> peers;
-    b.forEachPeer(_node.id(), [&](SnoopNodeCoherence &p) {
-        CacheLine *pl = p._cache.findLine(baddr);
-        if (pl && pl->state != LineState::Instr)
-            peers.push_back({&p, pl});
-    });
+    const std::vector<SnoopBackend::PeerHit> &peers =
+        b.snoopPeers(_node.id(), baddr);
     const bool any = !peers.empty();
 
     CacheLine *dirtyL = nullptr;
@@ -477,6 +468,21 @@ SnoopBackend::requestWriteback(NodeId node, Addr block_addr)
 {
     _queue.push_back({node, true, block_addr, _nextSeq++});
     scheduleArb();
+}
+
+const std::vector<SnoopBackend::PeerHit> &
+SnoopBackend::snoopPeers(NodeId self, Addr block_addr)
+{
+    SWEX_ASSERT(_inService, "snoop outside a bus transaction");
+    _peerHits.clear();
+    for (SnoopNodeCoherence *c : _ctrls) {
+        if (!c || c->nodeId() == self)
+            continue;
+        CacheLine *l = c->cache().findLine(block_addr);
+        if (l && l->state != LineState::Instr)
+            _peerHits.push_back({c, l});
+    }
+    return _peerHits;
 }
 
 void

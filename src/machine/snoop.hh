@@ -145,16 +145,21 @@ class SnoopBackend final : public CoherenceBackend
      *  was already written at eviction time). */
     void requestWriteback(NodeId node, Addr block_addr);
 
-    /** Visit every controller except @p self, in node-id order. */
-    template <typename Fn>
-    void
-    forEachPeer(NodeId self, Fn &&fn)
+    /** A peer's data copy of the block in service. */
+    struct PeerHit
     {
-        for (SnoopNodeCoherence *c : _ctrls) {
-            if (c && c->nodeId() != self)
-                fn(*c);
-        }
-    }
+        SnoopNodeCoherence *c;
+        CacheLine *l;
+    };
+
+    /**
+     * Snoop phase: every controller except @p self looks up
+     * @p block_addr, in node-id order; returns the data (non-Instr)
+     * copies found. The vector is scratch that the next call reuses;
+     * arbitrate() services one transaction at a time, so a caller's
+     * use never overlaps another call.
+     */
+    const std::vector<PeerHit> &snoopPeers(NodeId self, Addr block_addr);
 
     /** Memory access by global address (the segment's backing DRAM). */
     const DataBlock &memRead(Addr block_addr) const;
@@ -191,6 +196,7 @@ class SnoopBackend final : public CoherenceBackend
     SnoopProtocol _proto;
     SnoopBusConfig _bus;
     std::vector<SnoopNodeCoherence *> _ctrls;   ///< indexed by node id
+    std::vector<PeerHit> _peerHits;             ///< snoopPeers() scratch
     CoherenceAuditor *_auditor = nullptr;
 
     std::deque<BusTxn> _queue;

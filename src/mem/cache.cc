@@ -1,7 +1,5 @@
 #include "mem/cache.hh"
 
-#include <algorithm>
-
 #include "base/intmath.hh"
 #include "base/logging.hh"
 
@@ -42,6 +40,33 @@ Cache::Cache(unsigned cache_bytes, unsigned victim_entries,
                 "cache size must be a power of two");
     _numSets = cache_bytes / blockBytes;
     _sets.resize(_numSets);
+    _victim.resize(_victimEntries);
+}
+
+unsigned
+Cache::victimFind(Addr block_addr) const
+{
+    for (unsigned i = 0; i < _vCount; ++i) {
+        const CacheLine &l = victimAt(i);
+        if (l.valid() && l.blockAddr == block_addr)
+            return i;
+    }
+    return _vCount;
+}
+
+void
+Cache::victimErase(unsigned i)
+{
+    // Close the gap from whichever side holds fewer lines.
+    if (i < _vCount / 2) {
+        for (unsigned j = i; j > 0; --j)
+            victimAt(j) = victimAt(j - 1);
+        _vHead = _vHead + 1 < _victimEntries ? _vHead + 1 : 0;
+    } else {
+        for (unsigned j = i; j + 1 < _vCount; ++j)
+            victimAt(j) = victimAt(j + 1);
+    }
+    --_vCount;
 }
 
 CacheLine *
@@ -60,21 +85,20 @@ Cache::access(Addr block_addr, bool &victim_hit)
     if (CacheLine *line = probeMain(block_addr))
         return line;
 
-    for (auto it = _victim.begin(); it != _victim.end(); ++it) {
-        if (it->blockAddr == block_addr && it->valid()) {
-            // Swap the victim line back into its set; the displaced
-            // occupant takes its place in the victim buffer.
-            victim_hit = true;
-            CacheLine incoming = *it;
-            _victim.erase(it);
-            CacheLine &slot = _sets[indexOf(block_addr)];
-            if (slot.valid())
-                _victim.push_back(slot);
-            slot = incoming;
-            return &slot;
-        }
-    }
-    return nullptr;
+    const unsigned i = victimFind(block_addr);
+    if (i == _vCount)
+        return nullptr;
+    // Swap the victim line back into its set; the displaced occupant
+    // joins the victim buffer as its youngest line (the erase made
+    // room, so nothing is pushed out).
+    victim_hit = true;
+    CacheLine incoming = victimAt(i);
+    victimErase(i);
+    CacheLine &slot = _sets[indexOf(block_addr)];
+    if (slot.valid())
+        victimAt(_vCount++) = slot;
+    slot = incoming;
+    return &slot;
 }
 
 Eviction
@@ -88,15 +112,19 @@ Cache::pushToVictim(const CacheLine &line)
         ev.data = line.data;
         return ev;
     }
-    _victim.push_back(line);
-    if (_victim.size() > _victimEntries) {
-        CacheLine oldest = _victim.front();
-        _victim.pop_front();
-        ev.valid = true;
-        ev.blockAddr = oldest.blockAddr;
-        ev.dirty = oldest.dirty();
-        ev.data = oldest.data;
+    if (_vCount < _victimEntries) {
+        victimAt(_vCount++) = line;
+        return ev;
     }
+    // Full: the oldest line leaves the node and its slot takes the
+    // new line as the youngest.
+    CacheLine &oldest = victimAt(0);
+    ev.valid = true;
+    ev.blockAddr = oldest.blockAddr;
+    ev.dirty = oldest.dirty();
+    ev.data = oldest.data;
+    oldest = line;
+    _vHead = _vHead + 1 < _victimEntries ? _vHead + 1 : 0;
     return ev;
 }
 
@@ -136,14 +164,13 @@ Cache::remove(Addr block_addr)
         slot.state = LineState::Invalid;
         return res;
     }
-    for (auto it = _victim.begin(); it != _victim.end(); ++it) {
-        if (it->valid() && it->blockAddr == block_addr) {
-            res.wasPresent = true;
-            res.wasDirty = it->dirty();
-            res.data = it->data;
-            _victim.erase(it);
-            return res;
-        }
+    const unsigned i = victimFind(block_addr);
+    if (i < _vCount) {
+        const CacheLine &vl = victimAt(i);
+        res.wasPresent = true;
+        res.wasDirty = vl.dirty();
+        res.data = vl.data;
+        victimErase(i);
     }
     return res;
 }
@@ -157,9 +184,12 @@ Cache::downgrade(Addr block_addr)
     if (slot.valid() && slot.blockAddr == block_addr) {
         line = &slot;
     } else {
-        for (auto &vl : _victim)
+        // The youngest copy, should a block sit in the buffer twice.
+        for (unsigned i = 0; i < _vCount; ++i) {
+            CacheLine &vl = victimAt(i);
             if (vl.valid() && vl.blockAddr == block_addr)
                 line = &vl;
+        }
     }
     if (!line)
         return res;
@@ -177,10 +207,8 @@ Cache::findLine(Addr block_addr)
     CacheLine &slot = _sets[indexOf(block_addr)];
     if (slot.valid() && slot.blockAddr == block_addr)
         return &slot;
-    for (auto &line : _victim)
-        if (line.valid() && line.blockAddr == block_addr)
-            return &line;
-    return nullptr;
+    const unsigned i = victimFind(block_addr);
+    return i < _vCount ? &victimAt(i) : nullptr;
 }
 
 const CacheLine *
@@ -189,10 +217,8 @@ Cache::peek(Addr block_addr) const
     const CacheLine &slot = _sets[indexOf(block_addr)];
     if (slot.valid() && slot.blockAddr == block_addr)
         return &slot;
-    for (const auto &line : _victim)
-        if (line.valid() && line.blockAddr == block_addr)
-            return &line;
-    return nullptr;
+    const unsigned i = victimFind(block_addr);
+    return i < _vCount ? &victimAt(i) : nullptr;
 }
 
 bool
@@ -201,10 +227,7 @@ Cache::holds(Addr block_addr) const
     const CacheLine &slot = _sets[indexOf(block_addr)];
     if (slot.valid() && slot.blockAddr == block_addr)
         return true;
-    return std::any_of(_victim.begin(), _victim.end(),
-                       [&](const CacheLine &l) {
-                           return l.valid() && l.blockAddr == block_addr;
-                       });
+    return victimFind(block_addr) < _vCount;
 }
 
 void
@@ -212,7 +235,8 @@ Cache::flushAll()
 {
     for (auto &line : _sets)
         line.state = LineState::Invalid;
-    _victim.clear();
+    _vHead = 0;
+    _vCount = 0;
 }
 
 } // namespace swex

@@ -15,7 +15,6 @@
 #ifndef SWEX_MEM_CACHE_HH
 #define SWEX_MEM_CACHE_HH
 
-#include <deque>
 #include <vector>
 
 #include "base/stats.hh"
@@ -154,13 +153,13 @@ class Cache
         for (const auto &line : _sets)
             if (line.valid())
                 fn(line);
-        for (const auto &line : _victim)
-            if (line.valid())
-                fn(line);
+        for (unsigned i = 0; i < _vCount; ++i)
+            if (victimAt(i).valid())
+                fn(victimAt(i));
     }
 
     /** Victim buffer occupancy (for tests). */
-    unsigned victimSize() const { return _victim.size(); }
+    unsigned victimSize() const { return _vCount; }
 
     /** Flush everything (used when resetting between benchmark runs). */
     void flushAll();
@@ -177,10 +176,35 @@ class Cache
   private:
     Eviction pushToVictim(const CacheLine &line);
 
+    /** The @p i-th oldest line of the victim buffer. */
+    CacheLine &
+    victimAt(unsigned i)
+    {
+        unsigned s = _vHead + i;
+        return _victim[s < _victimEntries ? s : s - _victimEntries];
+    }
+
+    const CacheLine &
+    victimAt(unsigned i) const
+    {
+        return const_cast<Cache *>(this)->victimAt(i);
+    }
+
+    /** Age rank of the oldest valid victim copy of a block, or
+     *  _vCount if there is none. */
+    unsigned victimFind(Addr block_addr) const;
+
+    /** Drop the @p i-th oldest victim line, keeping FIFO order. */
+    void victimErase(unsigned i);
+
     unsigned _numSets;
     unsigned _victimEntries;
     std::vector<CacheLine> _sets;
-    std::deque<CacheLine> _victim;   ///< FIFO, front = oldest
+    /** Victim FIFO: a ring of _victimEntries slots holding _vCount
+     *  lines, the oldest at slot _vHead. */
+    std::vector<CacheLine> _victim;
+    unsigned _vHead = 0;
+    unsigned _vCount = 0;
 };
 
 } // namespace swex

@@ -34,7 +34,7 @@ struct StubNode : NodeServices
 {
     std::vector<Message> sent;
     std::vector<TrapItem> traps;
-    std::vector<std::pair<Cycles, std::function<void()>>> scheduled;
+    std::vector<Addr> trapsDone;   ///< blocks whose handlers ended
     MemoryModule memImpl;
 
     void sendMsg(const Message &msg, Cycles) override
@@ -52,9 +52,9 @@ struct StubNode : NodeServices
     MemoryModule &memory() override { return memImpl; }
 
     void
-    schedule(Cycles delay, std::function<void()> fn) override
+    scheduleTrapDone(Cycles, HomeController &, Addr block_addr) override
     {
-        scheduled.emplace_back(delay, std::move(fn));
+        trapsDone.push_back(block_addr);
     }
 };
 
@@ -89,10 +89,10 @@ struct Harness
             TrapItem item = node.traps.front();
             node.traps.erase(node.traps.begin());
             hc.runTrap(item);
-            auto items = std::move(node.scheduled);
-            node.scheduled.clear();
-            for (auto &[d, fn] : items)
-                fn();
+            auto done = std::move(node.trapsDone);
+            node.trapsDone.clear();
+            for (Addr a : done)
+                hc.trapDone(a);
         }
     }
 

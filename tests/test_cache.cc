@@ -2,11 +2,19 @@
  * @file
  * Unit tests for the combined direct-mapped cache and its victim
  * buffer: placement, conflict eviction, victim swap-back, coherence
- * removals/downgrades across both structures.
+ * removals/downgrades across both structures, checked op by op
+ * against a reference model; and for the paged per-block table the
+ * directory and memory keep their state in.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <vector>
+
+#include "base/rng.hh"
+#include "mem/block_table.hh"
 #include "mem/cache.hh"
 
 using namespace swex;
@@ -178,4 +186,318 @@ TEST_F(CacheTest, IndexMasksBlockAddress)
     EXPECT_EQ(c.indexOf(0), 0u);
     EXPECT_EQ(c.indexOf(15 * blockBytes), 15u);
     EXPECT_EQ(c.indexOf(16 * blockBytes), 0u);
+}
+
+// ------------------------------------------------------------------
+// Randomized check of the victim ring against a std::deque model
+// ------------------------------------------------------------------
+
+namespace
+{
+
+/** The cache's replacement rules over a std::deque victim FIFO. */
+struct RefCache
+{
+    RefCache(unsigned sets, unsigned entries)
+        : lines(sets), victimEntries(entries)
+    {
+    }
+
+    CacheLine &
+    slot(Addr a)
+    {
+        return lines[(a / blockBytes) % lines.size()];
+    }
+
+    std::deque<CacheLine>::iterator
+    findVictim(Addr a)
+    {
+        return std::find_if(victim.begin(), victim.end(),
+                            [a](const CacheLine &l) {
+                                return l.valid() && l.blockAddr == a;
+                            });
+    }
+
+    Eviction
+    push(const CacheLine &line)
+    {
+        Eviction ev;
+        if (victimEntries != 0)
+            victim.push_back(line);
+        if (victimEntries == 0 || victim.size() > victimEntries) {
+            const CacheLine out =
+                victimEntries == 0 ? line : victim.front();
+            if (victimEntries != 0)
+                victim.pop_front();
+            ev.valid = true;
+            ev.blockAddr = out.blockAddr;
+            ev.dirty = out.dirty();
+            ev.data = out.data;
+        }
+        return ev;
+    }
+
+    CacheLine *
+    access(Addr a, bool &victim_hit)
+    {
+        victim_hit = false;
+        CacheLine &s = slot(a);
+        if (s.valid() && s.blockAddr == a)
+            return &s;
+        auto it = findVictim(a);
+        if (it == victim.end())
+            return nullptr;
+        victim_hit = true;
+        CacheLine incoming = *it;
+        victim.erase(it);
+        if (s.valid())
+            victim.push_back(s);
+        s = incoming;
+        return &s;
+    }
+
+    Eviction
+    fill(Addr a, LineState st, const DataBlock &d)
+    {
+        CacheLine &s = slot(a);
+        Eviction ev;
+        if (s.valid() && s.blockAddr != a)
+            ev = push(s);
+        s.blockAddr = a;
+        s.state = st;
+        s.data = d;
+        return ev;
+    }
+
+    RemovalResult
+    remove(Addr a)
+    {
+        RemovalResult r;
+        CacheLine &s = slot(a);
+        CacheLine *l = s.valid() && s.blockAddr == a ? &s : nullptr;
+        auto it = l ? victim.end() : findVictim(a);
+        if (!l && it != victim.end())
+            l = &*it;
+        if (!l)
+            return r;
+        r.wasPresent = true;
+        r.wasDirty = l->dirty();
+        r.data = l->data;
+        if (l == &s)
+            s.state = LineState::Invalid;
+        else
+            victim.erase(it);
+        return r;
+    }
+
+    RemovalResult
+    downgrade(Addr a)
+    {
+        RemovalResult r;
+        CacheLine &s = slot(a);
+        CacheLine *l = s.valid() && s.blockAddr == a ? &s : nullptr;
+        if (!l) {
+            for (auto &v : victim)   // the youngest copy wins
+                if (v.valid() && v.blockAddr == a)
+                    l = &v;
+        }
+        if (!l)
+            return r;
+        r.wasPresent = true;
+        r.wasDirty = l->dirty();
+        r.data = l->data;
+        if (l->state == LineState::Modified)
+            l->state = LineState::Shared;
+        return r;
+    }
+
+    /** Valid lines, main array then victim FIFO oldest first. */
+    std::vector<CacheLine>
+    contents() const
+    {
+        std::vector<CacheLine> out;
+        for (const auto &l : lines)
+            if (l.valid())
+                out.push_back(l);
+        for (const auto &l : victim)
+            if (l.valid())
+                out.push_back(l);
+        return out;
+    }
+
+    std::vector<CacheLine> lines;
+    std::deque<CacheLine> victim;
+    unsigned victimEntries;
+};
+
+std::vector<CacheLine>
+contents(const Cache &c)
+{
+    std::vector<CacheLine> out;
+    c.forEachLine([&](const CacheLine &l) { out.push_back(l); });
+    return out;
+}
+
+bool
+sameLine(const CacheLine &a, const CacheLine &b)
+{
+    return a.blockAddr == b.blockAddr && a.state == b.state &&
+           a.data == b.data;
+}
+
+bool
+sameLines(const std::vector<CacheLine> &a,
+          const std::vector<CacheLine> &b)
+{
+    return a.size() == b.size() &&
+           std::equal(a.begin(), a.end(), b.begin(), sameLine);
+}
+
+} // anonymous namespace
+
+TEST(CacheVictimRing, MatchesDequeModelOnRandomOps)
+{
+    constexpr LineState states[] = {LineState::Shared,
+                                    LineState::Modified,
+                                    LineState::Exclusive,
+                                    LineState::Owned};
+    for (unsigned entries : {0u, 1u, 3u, 6u}) {
+        SCOPED_TRACE(entries);
+        stats::Group root;
+        Cache c(256, entries, &root);   // 16 sets
+        RefCache ref(16, entries);
+        Rng rng(entries + 1);
+        // 4 sets x 6 tags: every fill conflicts, the buffer churns.
+        auto pick = [&] {
+            return static_cast<Addr>(rng.below(4)) * blockBytes +
+                   static_cast<Addr>(rng.below(6)) * 256;
+        };
+        for (int step = 0; step < 20000; ++step) {
+            const Addr a = pick();
+            switch (rng.below(4)) {
+              case 0: {
+                DataBlock d = blk(rng.next(), rng.next());
+                LineState st = states[rng.below(4)];
+                Eviction ev = c.fill(a, st, d);
+                Eviction rev = ref.fill(a, st, d);
+                ASSERT_EQ(ev.valid, rev.valid);
+                if (ev.valid) {
+                    ASSERT_EQ(ev.blockAddr, rev.blockAddr);
+                    ASSERT_EQ(ev.dirty, rev.dirty);
+                    ASSERT_EQ(ev.data, rev.data);
+                }
+                break;
+              }
+              case 1: {
+                bool vh = false, rvh = false;
+                CacheLine *l = c.access(a, vh);
+                CacheLine *rl = ref.access(a, rvh);
+                ASSERT_EQ(vh, rvh);
+                ASSERT_EQ(l == nullptr, rl == nullptr);
+                if (l) {
+                    ASSERT_TRUE(sameLine(*l, *rl));
+                }
+                break;
+              }
+              case 2: {
+                RemovalResult r = c.remove(a);
+                RemovalResult rr = ref.remove(a);
+                ASSERT_EQ(r.wasPresent, rr.wasPresent);
+                ASSERT_EQ(r.wasDirty, rr.wasDirty);
+                ASSERT_EQ(r.data, rr.data);
+                break;
+              }
+              default: {
+                RemovalResult r = c.downgrade(a);
+                RemovalResult rr = ref.downgrade(a);
+                ASSERT_EQ(r.wasPresent, rr.wasPresent);
+                ASSERT_EQ(r.wasDirty, rr.wasDirty);
+                ASSERT_EQ(r.data, rr.data);
+                break;
+              }
+            }
+            ASSERT_EQ(c.victimSize(), ref.victim.size());
+            ASSERT_TRUE(sameLines(contents(c), ref.contents()))
+                << "step " << step;
+        }
+    }
+}
+
+// ------------------------------------------------------------------
+// BlockTable
+// ------------------------------------------------------------------
+
+namespace
+{
+
+/** A segment that does not start at 0, so below-base addresses exist. */
+constexpr Addr segBase = 3 * defaultSegBytes;
+
+} // anonymous namespace
+
+TEST(BlockTable, UntouchedBlocksReadNull)
+{
+    BlockTable<Word> t(segBase);
+    EXPECT_EQ(t.lookup(segBase), nullptr);
+    t.entry(segBase + blockBytes) = 5;
+    // Same page, still untouched.
+    EXPECT_EQ(t.lookup(segBase), nullptr);
+    ASSERT_NE(t.lookup(segBase + blockBytes), nullptr);
+    EXPECT_EQ(*t.lookup(segBase + blockBytes), 5u);
+    EXPECT_EQ(t.size(), 1u);
+}
+
+TEST(BlockTable, SlotsStayPutAcrossManyPages)
+{
+    BlockTable<Word> t(segBase);
+    Word &first = t.entry(segBase);
+    first = 42;
+    // 12000 blocks, every third one: spans ~560 pages.
+    std::vector<Word *> slots;
+    for (Word i = 0; i < 12000; ++i) {
+        Word &w = t.entry(segBase + (1 + 3 * i) * blockBytes);
+        w = i;
+        slots.push_back(&w);
+    }
+    EXPECT_EQ(&first, t.lookup(segBase));
+    EXPECT_EQ(first, 42u);
+    for (Word i = 0; i < 12000; ++i) {
+        ASSERT_EQ(slots[i], t.lookup(segBase + (1 + 3 * i) * blockBytes));
+        ASSERT_EQ(*slots[i], i);
+    }
+    EXPECT_EQ(t.size(), 12001u);
+    t.entry(segBase);   // touching again does not count twice
+    EXPECT_EQ(t.size(), 12001u);
+}
+
+TEST(BlockTable, IteratesInAddressOrder)
+{
+    BlockTable<Word> t(segBase);
+    Rng rng(7);
+    std::vector<Addr> touched;
+    for (int i = 0; i < 3000; ++i) {
+        Addr a = segBase +
+                 rng.below(defaultSegBytes / blockBytes) * blockBytes;
+        t.entry(a) = a;
+        touched.push_back(a);
+    }
+    std::sort(touched.begin(), touched.end());
+    touched.erase(std::unique(touched.begin(), touched.end()),
+                  touched.end());
+    std::vector<Addr> seen;
+    t.forEach([&](Addr a, const Word &w) {
+        EXPECT_EQ(w, a);
+        seen.push_back(a);
+    });
+    EXPECT_EQ(seen, touched);
+    EXPECT_EQ(t.size(), touched.size());
+}
+
+TEST(BlockTableDeathTest, OutOfSegmentAddressDies)
+{
+    BlockTable<Word> t(segBase);
+    EXPECT_DEATH(t.entry(segBase - blockBytes), "not a block of segment");
+    EXPECT_DEATH(t.lookup(segBase + defaultSegBytes),
+                 "not a block of segment");
+    EXPECT_DEATH(t.entry(segBase + 8), "not a block of segment");
 }

@@ -28,7 +28,7 @@ struct StubNode : NodeServices
 
     std::vector<Sent> sent;
     std::vector<TrapItem> traps;
-    std::vector<std::pair<Cycles, std::function<void()>>> scheduled;
+    std::vector<Addr> trapsDone;   ///< blocks whose handlers ended
     MemoryModule memImpl;
     RemovalResult localCopy;   ///< what invalidateLocal reports
 
@@ -56,19 +56,9 @@ struct StubNode : NodeServices
     MemoryModule &memory() override { return memImpl; }
 
     void
-    schedule(Cycles delay, std::function<void()> fn) override
+    scheduleTrapDone(Cycles, HomeController &, Addr block_addr) override
     {
-        scheduled.emplace_back(delay, std::move(fn));
-    }
-
-    /** Execute everything the controller scheduled (handler ends). */
-    void
-    drainScheduled()
-    {
-        auto items = std::move(scheduled);
-        scheduled.clear();
-        for (auto &[d, fn] : items)
-            fn();
+        trapsDone.push_back(block_addr);
     }
 
     /** Count sent messages of one type. */
@@ -120,7 +110,10 @@ struct Harness
             TrapItem item = node.traps.front();
             node.traps.erase(node.traps.begin());
             hc.runTrap(item);
-            node.drainScheduled();
+            auto done = std::move(node.trapsDone);
+            node.trapsDone.clear();
+            for (Addr a : done)
+                hc.trapDone(a);   // the handler's occupancy has ended
         }
     }
 

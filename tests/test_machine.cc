@@ -3,11 +3,14 @@
  * End-to-end integration tests of the complete machine: simple
  * programs running over the full protocol/network/cache stack, the
  * WORKER benchmark under every protocol, and system-wide coherence
- * invariants at quiescence.
+ * invariants at quiescence, and the final memory-image hash.
  */
 
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "apps/registry.hh"
 #include "apps/worker.hh"
 #include "core/spectrum.hh"
 #include "machine/mem_api.hh"
@@ -303,4 +306,84 @@ TEST(MachineStats, TrapsOccurOnlyPastHwCapacity)
     WorkerApp app2(wc2);
     app2.runParallel(m2);
     EXPECT_GT(m2.sumStat("home.trapsRaised"), 0.0);
+}
+
+namespace
+{
+
+/**
+ * Machine::imageHash() by its defining formula: every block a memory
+ * or cache touched, in address order, each word read through
+ * debugRead() (the first dirty cached copy in node order, else home
+ * memory); all-zero blocks are skipped.
+ */
+std::uint64_t
+perWordImageHash(const Machine &m)
+{
+    std::set<Addr> blocks;
+    for (const auto &node : m.nodes) {
+        node->mem.forEachBlock(
+            [&](Addr a, const DataBlock &) { blocks.insert(a); });
+        node->cache().forEachLine([&](const CacheLine &line) {
+            if (line.state != LineState::Instr)
+                blocks.insert(line.blockAddr);
+        });
+    }
+    std::uint64_t h = 0x243f6a8885a308d3ULL;
+    auto mix = [&h](std::uint64_t v) {
+        std::uint64_t z = h ^ v;
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+        h = z ^ (z >> 31);
+    };
+    for (Addr b : blocks) {
+        Word words[wordsPerBlock];
+        bool nonzero = false;
+        for (unsigned i = 0; i < wordsPerBlock; ++i) {
+            words[i] = m.debugRead(b + i * sizeof(Word));
+            nonzero = nonzero || words[i] != 0;
+        }
+        if (!nonzero)
+            continue;
+        mix(b);
+        for (Word w : words)
+            mix(w);
+    }
+    return h;
+}
+
+} // anonymous namespace
+
+TEST(ImageHash, MatchesPerWordDebugReadDefinition)
+{
+    for (MachineModel model : {MachineModel::Directory,
+                               MachineModel::Snoop}) {
+        for (const char *app_name : {"mp3d", "tsp"}) {
+            SCOPED_TRACE(std::string(machineModelName(model)) + "/" +
+                         app_name);
+            MachineConfig mc;
+            mc.numNodes = 16;
+            mc.machineModel = model;
+            mc.snoopProtocol = SnoopProtocol::Moesi;
+            mc.cacheCtrl.victimEntries = 6;
+            Machine m(mc);
+            auto app = AppRegistry::instance().make(app_name, {}, 16);
+            app->runParallel(m);
+            ASSERT_TRUE(app->verify(m));
+
+            // The one-pass hash must have dirty copies, some of them
+            // parked in victim buffers, to get right.
+            int dirty = 0;
+            unsigned parked = 0;
+            for (const auto &node : m.nodes) {
+                node->cache().forEachLine([&](const CacheLine &l) {
+                    dirty += l.dirty();
+                });
+                parked += node->cache().victimSize();
+            }
+            EXPECT_GT(dirty, 0);
+            EXPECT_GT(parked, 0u);
+            EXPECT_EQ(m.imageHash(), perWordImageHash(m));
+        }
+    }
 }

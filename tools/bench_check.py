@@ -46,6 +46,8 @@ REQUIRED_ENTRIES = [
     "BM_EventQueueFarFuture",
     "BM_EventQueueMixedDelays",
     "BM_MessagePoolSendRecv",
+    "BM_CacheVictimSwap",
+    "BM_DirectoryEntryLookup",
     "micro_substrates",
 ]
 
