@@ -4,7 +4,7 @@
  * queue throughput (callback shim, intrusive events, spill heap, and
  * a fig2-like delay mix), message pooling, cache lookup/fill and
  * victim swaps, directory entry lookup, extended-directory
- * operations, network injection, and a
+ * operations, network injection, a snoop bus transaction, and a
  * whole-machine WORKER iteration. These track the host-side
  * performance of the simulator itself.
  *
@@ -21,6 +21,7 @@
 #include "core/directory.hh"
 #include "core/ext_directory.hh"
 #include "machine/mem_api.hh"
+#include "machine/snoop.hh"
 #include "net/message_pool.hh"
 #include "net/network.hh"
 #include "sim/event_queue.hh"
@@ -313,6 +314,52 @@ BM_WorkerIteration16(benchmark::State &state)
         benchmark::Counter(events, benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_WorkerIteration16)->Unit(benchmark::kMillisecond);
+
+/**
+ * Snoop bus transactions in steady state on a 64-node MESI bus. Each
+ * round, every node reads its neighbour's block (a shared read that
+ * the neighbour's dirty copy supplies) and then writes its own (an
+ * upgrade that invalidates the neighbour's copy): 128 transactions a
+ * round, each with one or two peer copies among 63 peers. One
+ * iteration runs eight rounds on a machine built once.
+ */
+void
+BM_SnoopBusTransaction(benchmark::State &state)
+{
+    setQuiet(true);
+    constexpr int nodes = 64;
+    constexpr int rounds = 8;
+    MachineConfig mc;
+    mc.numNodes = nodes;
+    mc.machineModel = MachineModel::Snoop;
+    mc.snoopProtocol = SnoopProtocol::Mesi;
+    mc.withVictimCache(6);
+    Machine m(mc);
+    std::vector<Addr> blocks;
+    for (int n = 0; n < nodes; ++n)
+        blocks.push_back(m.allocOn(n, blockBytes, blockBytes));
+    auto program = [&blocks](Mem &mem, int tid) -> Task<void> {
+        const auto self = static_cast<std::size_t>(tid);
+        const Addr next = blocks[(self + 1) % nodes];
+        for (int r = 0; r < rounds; ++r) {
+            co_await mem.read(next);
+            co_await mem.hwBarrier();
+            co_await mem.write(blocks[self], static_cast<Word>(r));
+            co_await mem.hwBarrier();
+        }
+    };
+    const auto &bus = dynamic_cast<const SnoopBackend &>(*m.backend);
+    m.run(program);   // warm-up: every block cached, every line dirty
+    const double before = bus.transactions.value();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(m.run(program));
+    const double txns = bus.transactions.value() - before;
+    state.counters["bus_txns_per_sec"] =
+        benchmark::Counter(txns, benchmark::Counter::kIsRate);
+    state.counters["bus_txns_per_iter"] =
+        txns / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_SnoopBusTransaction)->Unit(benchmark::kMicrosecond);
 
 /**
  * Console output as usual, plus every finished run recorded into the

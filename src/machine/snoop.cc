@@ -1,6 +1,7 @@
 #include "machine/snoop.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "audit/auditor.hh"
 #include "base/logging.hh"
@@ -65,7 +66,10 @@ SnoopNodeCoherence::interceptSend(const Message &msg, Cycles)
 RemovalResult
 SnoopNodeCoherence::invalidateLocal(Addr block_addr)
 {
-    return _cache.remove(block_addr);
+    RemovalResult r = _cache.remove(block_addr);
+    if (r.wasPresent)
+        _backend.noteLeave(_node.id(), block_addr);
+    return r;
 }
 
 RemovalResult
@@ -92,7 +96,12 @@ SnoopNodeCoherence::fillLine(Addr block_addr, LineState state,
                              const DataBlock &data)
 {
     Eviction ev = _cache.fill(block_addr, state, data);
-    if (ev.valid && ev.dirty) {
+    if (state != LineState::Instr)
+        _backend.noteFill(_node.id(), block_addr);
+    if (!ev.valid)
+        return;
+    _backend.noteLeave(_node.id(), ev.blockAddr);
+    if (ev.dirty) {
         // Memory is written immediately (no data rides the queued
         // transaction); the writeback occupies the bus later.
         _backend.memWrite(ev.blockAddr, ev.data);
@@ -343,7 +352,7 @@ SnoopNodeCoherence::serviceAtBus(const BusTxn &t)
         if (own) {
             ++b.upgrades;
             for (auto &ph : peers) {
-                ph.c->_cache.remove(baddr);
+                ph.c->invalidateLocal(baddr);
                 ++b.invalidations;
             }
             value = applyOp(own, mshr.type, addr, mshr.operand);
@@ -361,7 +370,7 @@ SnoopNodeCoherence::serviceAtBus(const BusTxn &t)
                 data = b.memRead(baddr);
             }
             for (auto &ph : peers) {
-                ph.c->_cache.remove(baddr);
+                ph.c->invalidateLocal(baddr);
                 ++b.invalidations;
             }
             fillLine(baddr, LineState::Modified, data);
@@ -413,6 +422,9 @@ SnoopBackend::SnoopBackend(Machine &m)
 {
     _ctrls.resize(static_cast<std::size_t>(m.config().numNodes),
                   nullptr);
+    _presence.reserve(_ctrls.size());
+    for (NodeId n = 0; n < m.config().numNodes; ++n)
+        _presence.emplace_back(m.nodeBase(n), m.config().segBytes);
 }
 
 std::string
@@ -475,14 +487,61 @@ SnoopBackend::snoopPeers(NodeId self, Addr block_addr)
 {
     SWEX_ASSERT(_inService, "snoop outside a bus transaction");
     _peerHits.clear();
-    for (SnoopNodeCoherence *c : _ctrls) {
-        if (!c || c->nodeId() == self)
-            continue;
-        CacheLine *l = c->cache().findLine(block_addr);
-        if (l && l->state != LineState::Instr)
-            _peerHits.push_back({c, l});
+    const std::uint64_t *word = presence(block_addr).lookup(block_addr);
+    if (!word)
+        return _peerHits;
+    // Bit k stands for nodes k, k + 64, ...: one lap per 64 nodes,
+    // lowest bit first, visits the candidates in node-id order.
+    const std::uint64_t bits = *word;
+    const std::size_t n = _ctrls.size();
+    for (std::size_t lap = 0; lap < n; lap += 64) {
+        for (std::uint64_t m = bits; m != 0; m &= m - 1) {
+            const std::size_t id =
+                lap + static_cast<std::size_t>(std::countr_zero(m));
+            if (id >= n)
+                break;
+            SnoopNodeCoherence *c = _ctrls[id];
+            if (c->nodeId() == self)
+                continue;
+            CacheLine *l = c->cache().findLine(block_addr);
+            if (l && l->state != LineState::Instr)
+                _peerHits.push_back({c, l});
+        }
     }
     return _peerHits;
+}
+
+BlockTable<std::uint64_t> &
+SnoopBackend::presence(Addr block_addr)
+{
+    return _presence[static_cast<std::size_t>(_m.homeOf(block_addr))];
+}
+
+void
+SnoopBackend::noteFill(NodeId n, Addr block_addr)
+{
+    presence(block_addr).entry(block_addr) |= std::uint64_t{1} << (n % 64);
+}
+
+void
+SnoopBackend::noteLeave(NodeId n, Addr block_addr)
+{
+    if (!presentBit(n, block_addr))
+        return;
+    for (std::size_t m = static_cast<std::size_t>(n % 64);
+         m < _ctrls.size(); m += 64) {
+        if (_ctrls[m]->cache().holds(block_addr))
+            return;
+    }
+    presence(block_addr).entry(block_addr) &=
+        ~(std::uint64_t{1} << (n % 64));
+}
+
+bool
+SnoopBackend::presentBit(NodeId n, Addr block_addr)
+{
+    const std::uint64_t *word = presence(block_addr).lookup(block_addr);
+    return word && (*word >> (n % 64)) & 1;
 }
 
 void
@@ -525,8 +584,12 @@ SnoopBackend::arbitrate()
     SWEX_ASSERT(!_queue.empty(), "bus arbitration with empty queue");
     std::size_t i = pickNext();
     BusTxn t = _queue[i];
-    _queue.erase(_queue.begin() +
-                 static_cast<std::deque<BusTxn>::difference_type>(i));
+    if (i == 0) {
+        _queue.pop_front();
+    } else {
+        _queue.erase(_queue.begin() +
+                     static_cast<std::deque<BusTxn>::difference_type>(i));
+    }
     _lastGranted = t.node;
 
     // Service inside a guard: a dirty eviction during the fill
@@ -540,8 +603,10 @@ SnoopBackend::arbitrate()
     ++transactions;
     _freeAt = _m.eventq.curTick() + occupancy;
 
-    if (_auditor && !t.writeback)
+    if (_auditor && !t.writeback) {
         _auditor->onBusTransaction(t.blockAddr);
+        auditPresence(*_auditor, t.blockAddr);
+    }
 
     scheduleArb();
 }
@@ -598,6 +663,46 @@ SnoopBackend::auditQuiescent(CoherenceAuditor *a)
         if (c && c->hasOutstanding()) {
             violation(c->nodeId(), 0,
                       "MSHR still valid at quiescence");
+        }
+    }
+    if (!a)
+        return;
+
+    // The presence filter: every block some cache holds as data, and
+    // every block the filter names, checked once.
+    std::vector<Addr> blocks;
+    for (SnoopNodeCoherence *c : _ctrls) {
+        c->cache().forEachLine([&](const CacheLine &line) {
+            if (line.state != LineState::Instr)
+                blocks.push_back(line.blockAddr);
+        });
+    }
+    for (const BlockTable<std::uint64_t> &table : _presence) {
+        table.forEach([&](Addr block, std::uint64_t bits) {
+            if (bits != 0)
+                blocks.push_back(block);
+        });
+    }
+    std::sort(blocks.begin(), blocks.end());
+    blocks.erase(std::unique(blocks.begin(), blocks.end()), blocks.end());
+    for (Addr block : blocks)
+        auditPresence(*a, block);
+}
+
+void
+SnoopBackend::auditPresence(CoherenceAuditor &a, Addr block_addr)
+{
+    const bool exact = _ctrls.size() <= 64;
+    for (SnoopNodeCoherence *c : _ctrls) {
+        const NodeId n = c->nodeId();
+        const bool bit = presentBit(n, block_addr);
+        const CacheLine *l = c->cache().peek(block_addr);
+        if (l && l->state != LineState::Instr && !bit) {
+            a.modelViolation(n, block_addr,
+                             "data copy missing from the presence filter");
+        } else if (exact && bit && !l) {
+            a.modelViolation(n, block_addr,
+                             "presence filter names a node with no copy");
         }
     }
 }

@@ -17,6 +17,10 @@
  * sequences. Dirty evictions write memory immediately and queue a
  * writeback transaction for bus occupancy and stats only, so no data
  * is ever in flight on the bus.
+ *
+ * The snoop phase is modeled, not broadcast on the host: a presence
+ * filter at the bus (a full map per block, one bit per node mod 64)
+ * names the caches that may hold the block, and only those are probed.
  */
 
 #ifndef SWEX_MACHINE_SNOOP_HH
@@ -28,6 +32,7 @@
 #include "base/stats.hh"
 #include "machine/cache_controller.hh"
 #include "machine/coherence.hh"
+#include "mem/block_table.hh"
 #include "mem/cache.hh"
 #include "sim/event.hh"
 
@@ -153,13 +158,20 @@ class SnoopBackend final : public CoherenceBackend
     };
 
     /**
-     * Snoop phase: every controller except @p self looks up
-     * @p block_addr, in node-id order; returns the data (non-Instr)
-     * copies found. The vector is scratch that the next call reuses;
-     * arbitrate() services one transaction at a time, so a caller's
-     * use never overlaps another call.
+     * Snoop phase: every controller except @p self that the presence
+     * filter names looks up @p block_addr, in node-id order; returns
+     * the data (non-Instr) copies found. The vector is scratch that
+     * the next call reuses; arbitrate() services one transaction at a
+     * time, so a caller's use never overlaps another call.
      */
     const std::vector<PeerHit> &snoopPeers(NodeId self, Addr block_addr);
+
+    /** Presence filter: node @p n now holds a data copy. */
+    void noteFill(NodeId n, Addr block_addr);
+
+    /** Presence filter: a copy left node @p n. The bit stays set while
+     *  any node of its alias class (n mod 64) still holds the block. */
+    void noteLeave(NodeId n, Addr block_addr);
 
     /** Memory access by global address (the segment's backing DRAM). */
     const DataBlock &memRead(Addr block_addr) const;
@@ -192,11 +204,23 @@ class SnoopBackend final : public CoherenceBackend
     void arbitrate();
     std::size_t pickNext() const;
 
+    /** The filter's segment for @p block_addr (its home's). */
+    BlockTable<std::uint64_t> &presence(Addr block_addr);
+
+    /** Bit n mod 64 of the block's presence word. */
+    bool presentBit(NodeId n, Addr block_addr);
+
+    /** Audit the filter for one block against every cache's copy. */
+    void auditPresence(CoherenceAuditor &a, Addr block_addr);
+
     Machine &_m;
     SnoopProtocol _proto;
     SnoopBusConfig _bus;
     std::vector<SnoopNodeCoherence *> _ctrls;   ///< indexed by node id
     std::vector<PeerHit> _peerHits;             ///< snoopPeers() scratch
+    /** Presence filter, one table per home segment: bit n % 64 of a
+     *  block's word is set while node n may hold a data copy. */
+    std::vector<BlockTable<std::uint64_t>> _presence;
     CoherenceAuditor *_auditor = nullptr;
 
     std::deque<BusTxn> _queue;

@@ -66,6 +66,18 @@ TEST(FigAnchors, CyclesAndImageHashesArePinned)
         {"worker16 wss8 MOESI",
          busCell("worker", 16, SnoopProtocol::Moesi, {{"wss", "8"}}),
          11664, 0x9581cbbf1e9caad3ull},
+        // The bus at snoop_bus's size, and past the presence filter's
+        // 64 bits, where nodes n and n + 64 share a bit.
+        {"mp3d64 MESI", busCell("mp3d", 64, SnoopProtocol::Mesi, {}),
+         91879, 0xa7ff618fd02bac13ull},
+        {"mp3d64 MOESI", busCell("mp3d", 64, SnoopProtocol::Moesi, {}),
+         93344, 0xa7ff618fd02bac13ull},
+        {"mp3d64 MESIF", busCell("mp3d", 64, SnoopProtocol::Mesif, {}),
+         91824, 0xa7ff618fd02bac13ull},
+        {"mp3d64 Dragon", busCell("mp3d", 64, SnoopProtocol::Dragon, {}),
+         89187, 0xa7ff618fd02bac13ull},
+        {"mp3d128 MESI", busCell("mp3d", 128, SnoopProtocol::Mesi, {}),
+         107212, 0xb4c39aa88e080b8full},
     };
     Runner runner;
     for (const Anchor &a : anchors) {

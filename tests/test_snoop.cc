@@ -96,6 +96,39 @@ TEST(SnoopSmoke, BothArbitrationDisciplinesComplete)
 }
 
 // ------------------------------------------------------------------
+// Presence filter: past 64 nodes, nodes n and n + 64 share a filter
+// bit. The auditor checks the filter against every cache after each
+// demand transaction and at quiescence.
+// ------------------------------------------------------------------
+
+TEST(SnoopPresence, NinetySixNodesAuditCleanUnderEveryProtocol)
+{
+    for (SnoopProtocol p : kProtocols) {
+        SCOPED_TRACE(snoopProtocolName(p));
+        auto app = AppRegistry::instance().make("mp3d", {}, 96);
+        // A small cache behind a victim buffer, so fills push lines
+        // out of nodes as well as peers losing copies to the bus.
+        MachineConfig mc = snoopConfig(p, 96);
+        mc.cacheCtrl.cacheBytes = 2048;
+        mc.withVictimCache(6);
+        Machine m(mc);
+        CoherenceAuditor auditor(CoherenceAuditor::Mode::Collect);
+        m.attachAuditor(&auditor);
+
+        EXPECT_GT(app->runParallel(m), 0u);
+        EXPECT_TRUE(app->verify(m));
+        m.checkInvariants();
+        double evictions = 0;
+        for (const auto &node : m.nodes)
+            evictions += node->cache().evictions.value();
+        EXPECT_GT(evictions, 0.0);
+        EXPECT_GT(auditor.transitionsChecked(), 0u);
+        EXPECT_EQ(auditor.violationCount(), 0u);
+        m.attachAuditor(nullptr);
+    }
+}
+
+// ------------------------------------------------------------------
 // Protocol differentiation: the invalidate family ping-pongs the
 // falsely-shared blocks while Dragon updates peers word by word.
 // ------------------------------------------------------------------

@@ -48,6 +48,7 @@ REQUIRED_ENTRIES = [
     "BM_MessagePoolSendRecv",
     "BM_CacheVictimSwap",
     "BM_DirectoryEntryLookup",
+    "BM_SnoopBusTransaction",
     "micro_substrates",
 ]
 
