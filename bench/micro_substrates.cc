@@ -4,8 +4,9 @@
  * queue throughput (callback shim, intrusive events, spill heap, and
  * a fig2-like delay mix), message pooling, cache lookup/fill and
  * victim swaps, directory entry lookup, extended-directory
- * operations, network injection, a snoop bus transaction, and a
- * whole-machine WORKER iteration. These track the host-side
+ * operations, network injection, a snoop bus transaction, a
+ * whole-machine WORKER iteration, and the fixed host cost of a sweep
+ * cell outside its run. These track the host-side
  * performance of the simulator itself.
  *
  * Besides the console table, results are merged into
@@ -15,11 +16,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+
+#include "apps/registry.hh"
 #include "apps/worker.hh"
 #include "base/rng.hh"
 #include "bench_support.hh"
 #include "core/directory.hh"
 #include "core/ext_directory.hh"
+#include "exp/spec.hh"
 #include "machine/mem_api.hh"
 #include "machine/snoop.hh"
 #include "net/message_pool.hh"
@@ -360,6 +365,59 @@ BM_SnoopBusTransaction(benchmark::State &state)
         txns / static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_SnoopBusTransaction)->Unit(benchmark::kMicrosecond);
+
+/**
+ * What a sweep cell pays around Machine::run, with no run: build a
+ * 64-node directory machine as Figure 4 does (victim caching on),
+ * construct MP3D and set it up, check the machine's invariants, hash
+ * its memory image, and render both statistics dumps. The per-step
+ * counters are mean nanoseconds per iteration.
+ */
+void
+BM_CellFixedCost(benchmark::State &state)
+{
+    setQuiet(true);
+    ExperimentSpec spec;
+    spec.app = "mp3d";
+    spec.nodes = 64;
+    spec.victimEntries = 6;
+    const MachineConfig mc = spec.machine();
+    using Clock = std::chrono::steady_clock;
+    double build = 0, make = 0, setup = 0, check = 0, hash = 0,
+           dump = 0;
+    auto lap = [](Clock::time_point &t, double &into) {
+        const Clock::time_point now = Clock::now();
+        into += std::chrono::duration<double, std::nano>(now - t).count();
+        t = now;
+    };
+    for (auto _ : state) {
+        Clock::time_point t = Clock::now();
+        Machine m(mc);
+        lap(t, build);
+        auto app = AppRegistry::instance().make(spec.app, spec.params,
+                                                spec.nodes);
+        lap(t, make);
+        app->setup(m);
+        lap(t, setup);
+        m.checkInvariants();
+        lap(t, check);
+        benchmark::DoNotOptimize(m.imageHash());
+        lap(t, hash);
+        std::string json, text;
+        m.root.dumpJson(json);
+        m.root.dump(text);
+        benchmark::DoNotOptimize(json.size() + text.size());
+        lap(t, dump);
+    }
+    const auto n = static_cast<double>(state.iterations());
+    state.counters["build_ns"] = build / n;
+    state.counters["make_ns"] = make / n;
+    state.counters["setup_ns"] = setup / n;
+    state.counters["check_invariants_ns"] = check / n;
+    state.counters["image_hash_ns"] = hash / n;
+    state.counters["stats_dump_ns"] = dump / n;
+}
+BENCHMARK(BM_CellFixedCost)->Unit(benchmark::kMillisecond);
 
 /**
  * Console output as usual, plus every finished run recorded into the

@@ -33,36 +33,44 @@ TspApp::computeGroundTruth()
 {
     const int n = cfg.numCities;
 
-    // Pass 1: exact optimal tour cost by exhaustive DFS.
-    int best = 1 << 20;
-    struct Frame { unsigned mask; int city; int cost; };
-    std::vector<Frame> stack{{1u, 0, 0}};
-    while (!stack.empty()) {
-        Frame f = stack.back();
-        stack.pop_back();
-        int depth = __builtin_popcount(f.mask);
-        for (int next = 0; next < n; ++next) {
-            if (f.mask & (1u << next))
+    // Pass 1: exact optimal tour cost by Held-Karp dynamic
+    // programming over subsets of cities 1..n-1: tour[S][j] is the
+    // cheapest path from city 0 through exactly the cities of S,
+    // ending at j (a member of S).
+    const int m = n - 1;
+    const std::size_t subsets = std::size_t{1} << m;
+    auto d = [&](int i, int j) {
+        return dist[static_cast<std::size_t>(i) * n + j];
+    };
+    constexpr int unreached = 1 << 30;
+    std::vector<int> tour(subsets * static_cast<std::size_t>(m),
+                          unreached);
+    for (int j = 0; j < m; ++j)
+        tour[(std::size_t{1} << j) * m + j] = d(0, j + 1);
+    for (std::size_t set = 1; set < subsets; ++set) {
+        for (int j = 0; j < m; ++j) {
+            if (!(set >> j & 1))
                 continue;
-            int ncost =
-                f.cost + dist[static_cast<std::size_t>(f.city) * n +
-                              next];
-            if (depth + 1 == n) {
-                int total =
-                    ncost + dist[static_cast<std::size_t>(next) * n];
-                best = std::min(best, total);
-            } else if (ncost < best) {
-                stack.push_back({f.mask | (1u << next), next, ncost});
+            const int here = tour[set * m + j];
+            for (int k = 0; k < m; ++k) {
+                if (set >> k & 1)
+                    continue;
+                int &next = tour[(set | std::size_t{1} << k) * m + k];
+                next = std::min(next, here + d(j + 1, k + 1));
             }
         }
     }
+    int best = unreached;
+    for (int j = 0; j < m; ++j)
+        best = std::min(best, tour[(subsets - 1) * m + j] + d(j + 1, 0));
     _optimal = best;
 
     // Pass 2: count expansions of the bounded search that the kernel
     // performs with the bound seeded at the optimum. The pruning rule
     // must match the kernel exactly.
+    struct Frame { unsigned mask; int city; int cost; };
     _expected = 0;
-    stack.assign(1, {1u, 0, 0});
+    std::vector<Frame> stack{{1u, 0, 0}};
     while (!stack.empty()) {
         Frame f = stack.back();
         stack.pop_back();

@@ -45,6 +45,13 @@ class TspApp : public App
 
     /** Host-side ground truth (available after construction). */
     int optimalCost() const { return _optimal; }
+
+    /** Distance between two cities of the instance. */
+    int
+    distance(int from, int to) const
+    {
+        return dist[static_cast<std::size_t>(from) * cfg.numCities + to];
+    }
     std::uint64_t expectedExpansions() const { return _expected; }
     std::uint64_t observedExpansions() const { return expansions; }
 

@@ -1,8 +1,11 @@
 #include "base/stats.hh"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <ostream>
+#include <utility>
 
 #include "base/logging.hh"
 
@@ -12,40 +15,74 @@ namespace swex::stats
 namespace
 {
 
-/** JSON has no NaN/Inf; clamp them to 0 like the bench trajectory. */
+/** Append @p v as printf("%.*g", precision, v) prints it. */
 void
-jsonNumber(std::ostream &os, double v)
+appendNumber(std::string &out, double v, int precision)
 {
-    if (!(v == v) || v > 1e308 || v < -1e308) {
-        os << 0;
-        return;
-    }
     char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    os << buf;
+    auto res = std::to_chars(buf, buf + sizeof(buf), v,
+                             std::chars_format::general, precision);
+    out.append(buf, res.ptr);
 }
 
 void
-jsonString(std::ostream &os, const std::string &s)
+appendNumber(std::string &out, std::uint64_t v)
 {
-    os << '"';
+    char buf[24];
+    auto res = std::to_chars(buf, buf + sizeof(buf), v);
+    out.append(buf, res.ptr);
+}
+
+/** Text-dump number: an ostream's default precision. */
+void
+textNumber(std::string &out, double v)
+{
+    appendNumber(out, v, 6);
+}
+
+/** JSON has no NaN/Inf; clamp them to 0 like the bench trajectory. */
+void
+jsonNumber(std::string &out, double v)
+{
+    if (!(v == v) || v > 1e308 || v < -1e308) {
+        out += '0';
+        return;
+    }
+    appendNumber(out, v, 17);
+}
+
+bool
+needsEscape(char c)
+{
+    return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+}
+
+void
+jsonString(std::string &out, const std::string &s)
+{
+    out += '"';
+    if (std::none_of(s.begin(), s.end(), needsEscape)) {
+        out += s;   // the common case: append the name whole
+        out += '"';
+        return;
+    }
     for (char c : s) {
         switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\t': out += "\\t"; break;
           default:
             if (static_cast<unsigned char>(c) < 0x20) {
                 char buf[8];
                 std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                os << buf;
+                out += buf;
             } else {
-                os << c;
+                out += c;
             }
         }
     }
-    os << '"';
+    out += '"';
 }
 
 } // anonymous namespace
@@ -58,15 +95,21 @@ Stat::Stat(Group *parent, std::string name, std::string desc)
 }
 
 void
-Scalar::dump(std::ostream &os, const std::string &prefix) const
+Scalar::dump(std::string &out, const std::string &prefix) const
 {
-    os << prefix << name() << " " << _value << " # " << desc() << "\n";
+    out += prefix;
+    out += name();
+    out += ' ';
+    textNumber(out, _value);
+    out += " # ";
+    out += desc();
+    out += '\n';
 }
 
 void
-Scalar::dumpJson(std::ostream &os) const
+Scalar::dumpJson(std::string &out) const
 {
-    jsonNumber(os, _value);
+    jsonNumber(out, _value);
 }
 
 void
@@ -97,28 +140,43 @@ Distribution::stddev() const
 }
 
 void
-Distribution::dump(std::ostream &os, const std::string &prefix) const
+Distribution::dump(std::string &out, const std::string &prefix) const
 {
-    os << prefix << name() << "::count " << _count
-       << " # " << desc() << "\n";
-    os << prefix << name() << "::mean " << mean() << "\n";
-    os << prefix << name() << "::min " << minValue() << "\n";
-    os << prefix << name() << "::max " << maxValue() << "\n";
-    os << prefix << name() << "::stddev " << stddev() << "\n";
+    const std::string head = prefix + name();
+    out += head;
+    out += "::count ";
+    appendNumber(out, _count);
+    out += " # ";
+    out += desc();
+    out += '\n';
+    const std::pair<const char *, double> moments[] = {
+        {"::mean ", mean()},
+        {"::min ", minValue()},
+        {"::max ", maxValue()},
+        {"::stddev ", stddev()},
+    };
+    for (const auto &[label, v] : moments) {
+        out += head;
+        out += label;
+        textNumber(out, v);
+        out += '\n';
+    }
 }
 
 void
-Distribution::dumpJson(std::ostream &os) const
+Distribution::dumpJson(std::string &out) const
 {
-    os << "{\"count\":" << _count << ",\"mean\":";
-    jsonNumber(os, mean());
-    os << ",\"min\":";
-    jsonNumber(os, minValue());
-    os << ",\"max\":";
-    jsonNumber(os, maxValue());
-    os << ",\"stddev\":";
-    jsonNumber(os, stddev());
-    os << '}';
+    out += "{\"count\":";
+    appendNumber(out, _count);
+    out += ",\"mean\":";
+    jsonNumber(out, mean());
+    out += ",\"min\":";
+    jsonNumber(out, minValue());
+    out += ",\"max\":";
+    jsonNumber(out, maxValue());
+    out += ",\"stddev\":";
+    jsonNumber(out, stddev());
+    out += '}';
 }
 
 void
@@ -154,27 +212,41 @@ Histogram::sample(double v, std::uint64_t count)
 }
 
 void
-Histogram::dump(std::ostream &os, const std::string &prefix) const
+Histogram::dump(std::string &out, const std::string &prefix) const
 {
-    os << prefix << name() << "::total " << _total
-       << " # " << desc() << "\n";
+    const std::string head = prefix + name();
+    out += head;
+    out += "::total ";
+    appendNumber(out, _total);
+    out += " # ";
+    out += desc();
+    out += '\n';
     for (std::size_t i = 0; i < _buckets.size(); ++i) {
         if (_buckets[i] == 0)
             continue;
-        os << prefix << name() << "::bucket" << i
-           << " " << _buckets[i] << "\n";
+        out += head;
+        out += "::bucket";
+        appendNumber(out, i);
+        out += ' ';
+        appendNumber(out, _buckets[i]);
+        out += '\n';
     }
 }
 
 void
-Histogram::dumpJson(std::ostream &os) const
+Histogram::dumpJson(std::string &out) const
 {
-    os << "{\"total\":" << _total << ",\"width\":";
-    jsonNumber(os, _width);
-    os << ",\"buckets\":[";
-    for (std::size_t i = 0; i < _buckets.size(); ++i)
-        os << (i ? "," : "") << _buckets[i];
-    os << "]}";
+    out += "{\"total\":";
+    appendNumber(out, _total);
+    out += ",\"width\":";
+    jsonNumber(out, _width);
+    out += ",\"buckets\":[";
+    for (std::size_t i = 0; i < _buckets.size(); ++i) {
+        if (i)
+            out += ',';
+        appendNumber(out, _buckets[i]);
+    }
+    out += "]}";
 }
 
 void
@@ -193,35 +265,53 @@ Group::Group(Group *parent, std::string name)
 }
 
 void
-Group::dump(std::ostream &os, const std::string &prefix) const
+Group::dump(std::ostream &os) const
+{
+    std::string out;
+    dump(out);
+    os.write(out.data(), static_cast<std::streamsize>(out.size()));
+}
+
+void
+Group::dump(std::string &out, const std::string &prefix) const
 {
     std::string here = _name.empty() ? prefix : prefix + _name + ".";
     for (const auto *s : _stats)
-        s->dump(os, here);
+        s->dump(out, here);
     for (const auto *c : _children)
-        c->dump(os, here);
+        c->dump(out, here);
 }
 
 void
 Group::dumpJson(std::ostream &os) const
 {
-    os << '{';
+    std::string out;
+    dumpJson(out);
+    os.write(out.data(), static_cast<std::streamsize>(out.size()));
+}
+
+void
+Group::dumpJson(std::string &out) const
+{
+    out += '{';
     bool first = true;
     for (const auto *s : _stats) {
-        os << (first ? "" : ",");
+        if (!first)
+            out += ',';
         first = false;
-        jsonString(os, s->name());
-        os << ':';
-        s->dumpJson(os);
+        jsonString(out, s->name());
+        out += ':';
+        s->dumpJson(out);
     }
     for (const auto *c : _children) {
-        os << (first ? "" : ",");
+        if (!first)
+            out += ',';
         first = false;
-        jsonString(os, c->name());
-        os << ':';
-        c->dumpJson(os);
+        jsonString(out, c->name());
+        out += ':';
+        c->dumpJson(out);
     }
-    os << '}';
+    out += '}';
 }
 
 void

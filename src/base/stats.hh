@@ -32,12 +32,12 @@ class Stat
     const std::string &name() const { return _name; }
     const std::string &desc() const { return _desc; }
 
-    /** Write "fullName value # desc" style lines. */
-    virtual void dump(std::ostream &os, const std::string &prefix)
+    /** Append "fullName value # desc" style lines to @p out. */
+    virtual void dump(std::string &out, const std::string &prefix)
         const = 0;
 
-    /** Write this statistic's value as a JSON value (no key). */
-    virtual void dumpJson(std::ostream &os) const = 0;
+    /** Append this statistic's value as a JSON value (no key). */
+    virtual void dumpJson(std::string &out) const = 0;
 
     /** Reset to the just-constructed state. */
     virtual void reset() = 0;
@@ -59,8 +59,9 @@ class Scalar : public Stat
 
     double value() const { return _value; }
 
-    void dump(std::ostream &os, const std::string &prefix) const override;
-    void dumpJson(std::ostream &os) const override;
+    void dump(std::string &out, const std::string &prefix)
+        const override;
+    void dumpJson(std::string &out) const override;
     void reset() override { _value = 0; }
 
   private:
@@ -82,8 +83,9 @@ class Distribution : public Stat
     double maxValue() const { return _count ? _max : 0.0; }
     double stddev() const;
 
-    void dump(std::ostream &os, const std::string &prefix) const override;
-    void dumpJson(std::ostream &os) const override;
+    void dump(std::string &out, const std::string &prefix)
+        const override;
+    void dumpJson(std::string &out) const override;
     void reset() override;
 
   private:
@@ -114,8 +116,9 @@ class Histogram : public Stat
     double bucketWidth() const { return _width; }
     std::uint64_t totalCount() const { return _total; }
 
-    void dump(std::ostream &os, const std::string &prefix) const override;
-    void dumpJson(std::ostream &os) const override;
+    void dump(std::string &out, const std::string &prefix)
+        const override;
+    void dumpJson(std::string &out) const override;
     void reset() override;
 
   private:
@@ -143,16 +146,27 @@ class Group
 
     const std::string &name() const { return _name; }
 
-    /** Dump the whole subtree with dotted-path prefixes. */
-    void dump(std::ostream &os, const std::string &prefix = "") const;
+    /**
+     * Dump the whole subtree with dotted-path prefixes. Numbers print
+     * as an ostream at its default precision prints them (printf
+     * "%g"). The text is built in one string and written at once.
+     */
+    void dump(std::ostream &os) const;
+
+    /** Append the text dump to @p out. */
+    void dump(std::string &out, const std::string &prefix = "") const;
 
     /**
      * Dump the whole subtree as one JSON object. Keys appear in
      * registration order (deterministic for a given machine
      * configuration), stats before child groups; scalars become
-     * numbers, distributions and histograms become objects.
+     * numbers (printf "%.17g", NaN and infinities as 0),
+     * distributions and histograms become objects.
      */
     void dumpJson(std::ostream &os) const;
+
+    /** Append the JSON dump to @p out. */
+    void dumpJson(std::string &out) const;
 
     /** Reset every statistic in the subtree. */
     void reset();

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 #include <utility>
 
 #include "audit/auditor.hh"
@@ -162,16 +161,12 @@ Runner::execute(const ExperimentSpec &spec, ExecSource *source) const
     if (spec.trackSharing && !spec.sequential)
         record.workerSets = m.tracker.endOfRunHistogram(spec.nodes);
 
-    {
-        std::ostringstream os;
-        m.root.dumpJson(os);
-        record.statsJson = os.str();
-    }
-    {
-        std::ostringstream os;
-        m.dumpStats(os);
-        record.statsText = os.str();
-    }
+    // The dumps grow in place; the record outlives the machine, so it
+    // keeps them at their exact size.
+    m.root.dumpJson(record.statsJson);
+    m.root.dump(record.statsText);
+    record.statsJson.shrink_to_fit();
+    record.statsText.shrink_to_fit();
 
     // Store policy: only a completed, verified, violation-free record
     // enters the cache, so a later hit serves exactly the bytes a

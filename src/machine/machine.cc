@@ -28,6 +28,7 @@ Machine::Machine(const MachineConfig &config)
     for (int i = 0; i < cfg.numNodes; ++i) {
         nodes.push_back(std::make_unique<Node>(*this, i));
         network.setReceiver(i, nodes.back().get());
+        _caches.push_back(&nodes.back()->cache());
         // Reserve the low 64 KB of each segment for instructions and
         // start the heap 8 blocks in, so early allocations do not map
         // onto the cache sets instruction footprints occupy.
@@ -244,8 +245,10 @@ Word
 Machine::debugRead(Addr a) const
 {
     Addr baddr = blockAlign(a);
-    for (const auto &node : nodes) {
-        const CacheLine *line = node->cache().peek(baddr);
+    for (const Cache *c : _caches) {
+        if (!c->setTouched(baddr))
+            continue;   // no copy anywhere in this cache
+        const CacheLine *line = c->peek(baddr);
         if (line && line->dirty())
             return line->data.read(a);
     }
@@ -257,11 +260,14 @@ void
 Machine::debugWrite(Addr a, Word v)
 {
     Addr baddr = blockAlign(a);
-    for (auto &node : nodes) {
+    for (Cache *c : _caches) {
         // Keep any cached copies consistent with the backdoor write.
-        Cache &c = node->cache();
+        // An untouched set holds no copy, and access() there would be
+        // a miss that changes nothing.
+        if (!c->setTouched(baddr))
+            continue;
         bool victim_hit = false;
-        if (CacheLine *line = c.access(baddr, victim_hit))
+        if (CacheLine *line = c->access(baddr, victim_hit))
             line->data.write(a, v);
     }
     nodes[static_cast<std::size_t>(homeOf(a))]->mem.writeWord(a, v);

@@ -278,6 +278,8 @@ class Machine
 
     MachineConfig cfg;
     CoherenceAuditor *_auditor = nullptr;
+    /** Every node's cache in node order, for the debug backdoor. */
+    std::vector<Cache *> _caches;
     RunStatus _runStatus = RunStatus::Completed;
     Tick _lastProgress = 0;
     std::vector<std::uint64_t> heapPtr;   ///< per-node bump pointers

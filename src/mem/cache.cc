@@ -1,5 +1,7 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
+
 #include "base/intmath.hh"
 #include "base/logging.hh"
 
@@ -40,6 +42,7 @@ Cache::Cache(unsigned cache_bytes, unsigned victim_entries,
                 "cache size must be a power of two");
     _numSets = cache_bytes / blockBytes;
     _sets.resize(_numSets);
+    _touched.assign((_numSets + 63) / 64, 0);
     _victim.resize(_victimEntries);
 }
 
@@ -135,7 +138,9 @@ Cache::fill(Addr block_addr, LineState state, const DataBlock &data)
     SWEX_ASSERT(block_addr == blockAlign(block_addr),
                 "fill address not block aligned");
 
-    CacheLine &slot = _sets[indexOf(block_addr)];
+    const unsigned set = indexOf(block_addr);
+    _touched[set / 64] |= std::uint64_t{1} << (set % 64);
+    CacheLine &slot = _sets[set];
     Eviction ev;
     if (slot.valid() && slot.blockAddr != block_addr)
         ev = pushToVictim(slot);
@@ -235,6 +240,7 @@ Cache::flushAll()
 {
     for (auto &line : _sets)
         line.state = LineState::Invalid;
+    std::fill(_touched.begin(), _touched.end(), 0);
     _vHead = 0;
     _vCount = 0;
 }

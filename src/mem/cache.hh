@@ -15,6 +15,8 @@
 #ifndef SWEX_MEM_CACHE_HH
 #define SWEX_MEM_CACHE_HH
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "base/stats.hh"
@@ -145,14 +147,40 @@ class Cache
      */
     CacheLine *findLine(Addr block_addr);
 
-    /** Visit every valid line (main array, then victim buffer). */
+    /**
+     * True if the set @p block_addr maps to has been filled since
+     * construction or the last flushAll(). A block enters the cache
+     * only through a fill of its own set and reaches the victim
+     * buffer only from that set, so when this is false the cache
+     * holds no copy of the block anywhere: a lookup would miss
+     * without side effects.
+     */
+    bool
+    setTouched(Addr block_addr) const
+    {
+        const unsigned s = indexOf(block_addr);
+        return (_touched[s / 64] >> (s % 64)) & 1;
+    }
+
+    /**
+     * Visit every valid line: the main array in set order, then the
+     * victim buffer oldest first. Only sets marked as touched are
+     * read, so the walk costs what the run filled, not the capacity.
+     */
     template <typename Fn>
     void
     forEachLine(Fn &&fn) const
     {
-        for (const auto &line : _sets)
-            if (line.valid())
-                fn(line);
+        for (std::size_t w = 0; w < _touched.size(); ++w) {
+            for (std::uint64_t bits = _touched[w]; bits != 0;
+                 bits &= bits - 1) {
+                const CacheLine &line =
+                    _sets[w * 64 + static_cast<unsigned>(
+                                       std::countr_zero(bits))];
+                if (line.valid())
+                    fn(line);
+            }
+        }
         for (unsigned i = 0; i < _vCount; ++i)
             if (victimAt(i).valid())
                 fn(victimAt(i));
@@ -200,6 +228,8 @@ class Cache
     unsigned _numSets;
     unsigned _victimEntries;
     std::vector<CacheLine> _sets;
+    /** One bit per set: set by fill(), cleared by flushAll(). */
+    std::vector<std::uint64_t> _touched;
     /** Victim FIFO: a ring of _victimEntries slots holding _vCount
      *  lines, the oldest at slot _vHead. */
     std::vector<CacheLine> _victim;

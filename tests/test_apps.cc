@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "apps/aq.hh"
 #include "apps/evolve.hh"
 #include "apps/mp3d.hh"
@@ -43,6 +46,68 @@ TEST(Tsp, GroundTruthIsConsistent)
     TspApp app(tc);
     EXPECT_GT(app.optimalCost(), 0);
     EXPECT_GT(app.expectedExpansions(), 1u);
+}
+
+namespace
+{
+
+/** Reference optimum: depth-first search over every tour from city
+ *  0, pruned only where no completion can beat the best so far. */
+int
+exhaustiveOptimum(const TspApp &app, int n)
+{
+    int min_edge = 1 << 20;
+    for (int i = 0; i < n; ++i)
+        for (int j = i + 1; j < n; ++j)
+            min_edge = std::min(min_edge, app.distance(i, j));
+    int best = 1 << 20;
+    struct Frame { unsigned mask; int city; int cost; };
+    std::vector<Frame> stack{{1u, 0, 0}};
+    while (!stack.empty()) {
+        const Frame f = stack.back();
+        stack.pop_back();
+        const int depth = __builtin_popcount(f.mask);
+        for (int next = 1; next < n; ++next) {
+            if (f.mask & (1u << next))
+                continue;
+            const int cost = f.cost + app.distance(f.city, next);
+            if (depth + 1 == n)
+                best = std::min(best, cost + app.distance(next, 0));
+            else if (cost + (n - depth) * min_edge < best)
+                stack.push_back({f.mask | (1u << next), next, cost});
+        }
+    }
+    return best;
+}
+
+} // anonymous namespace
+
+TEST(Tsp, OptimumMatchesExhaustiveSearch)
+{
+    for (int n = 3; n <= 12; ++n) {
+        for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+            SCOPED_TRACE(testing::Message() << n << " cities, seed "
+                                            << seed);
+            TspConfig tc;
+            tc.numCities = n;
+            tc.seed = seed;
+            TspApp app(tc);
+            EXPECT_EQ(app.optimalCost(), exhaustiveOptimum(app, n));
+        }
+    }
+}
+
+TEST(Tsp, ExpectedExpansionsOfFigureInstances)
+{
+    // Figure 4: 10 cities, default seed.
+    TspConfig fig4;
+    EXPECT_EQ(TspApp(fig4).expectedExpansions(), 18395u);
+    // Figure 5: 11 cities, seed 49, a 2048-tour frontier.
+    TspConfig fig5;
+    fig5.numCities = 11;
+    fig5.seed = 49;
+    fig5.frontierTarget = 2048;
+    EXPECT_EQ(TspApp(fig5).expectedExpansions(), 136457u);
 }
 
 TEST(Tsp, SequentialMatchesGroundTruth)

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <limits>
 #include <sstream>
+#include <utility>
 
 #include "base/intmath.hh"
 #include "base/logging.hh"
@@ -132,6 +135,47 @@ TEST(Stats, GroupFindByDottedPath)
     EXPECT_EQ(root.find("nodeX.hits"), nullptr);
 }
 
+namespace
+{
+
+constexpr double nan_ = std::numeric_limits<double>::quiet_NaN();
+constexpr double inf_ = std::numeric_limits<double>::infinity();
+
+/** Values whose printf form differs from a shortest round-trip form,
+ *  with the bytes printf("%g") and printf("%.17g") give for them. */
+struct NumberCase
+{
+    double v;
+    const char *g;
+    const char *g17;
+};
+
+const NumberCase numberCases[] = {
+    {0.1, "0.1", "0.10000000000000001"},
+    {1.0 / 3, "0.333333", "0.33333333333333331"},
+    {9007199254740992.0, "9.0072e+15", "9007199254740992"},
+    {1e-300, "1e-300", "1e-300"},
+    {1e-5, "1e-05", "1.0000000000000001e-05"},
+    {std::numeric_limits<double>::denorm_min(), "4.94066e-324",
+     "4.9406564584124654e-324"},
+    {-0.0, "-0", "-0"},
+    {123456789.0, "1.23457e+08", "123456789"},
+    {nan_, "nan", "nan"},
+    {-nan_, "-nan", "-nan"},
+    {inf_, "inf", "inf"},
+    {-inf_, "-inf", "-inf"},
+};
+
+std::string
+printfNumber(const char *fmt, double v)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), fmt, v);
+    return buf;
+}
+
+} // anonymous namespace
+
 TEST(Stats, DumpFormat)
 {
     stats::Group root;
@@ -141,6 +185,38 @@ TEST(Stats, DumpFormat)
     std::ostringstream os;
     root.dump(os);
     EXPECT_NE(os.str().find("net.msgs 12"), std::string::npos);
+
+    for (const NumberCase &c : numberCases) {
+        SCOPED_TRACE(c.g17);
+        // The table holds what printf prints on this host.
+        ASSERT_EQ(printfNumber("%g", c.v), c.g);
+        ASSERT_EQ(printfNumber("%.17g", c.v), c.g17);
+
+        stats::Group g;
+        stats::Group net(&g, "net");
+        stats::Scalar v(&net, "v", "a value");
+        v = c.v;
+        std::ostringstream out;
+        g.dump(out);
+        EXPECT_EQ(out.str(), std::string("net.v ") + c.g + " # a value\n");
+        // An ostream at its default precision prints the same bytes.
+        std::ostringstream ref;
+        ref << c.v;
+        EXPECT_EQ(ref.str(), c.g);
+    }
+
+    stats::Group dist;
+    stats::Distribution d(&dist, "lat", "latency");
+    d.sample(0.1);
+    d.sample(1.0 / 3);
+    std::string text;
+    dist.dump(text);
+    EXPECT_EQ(text, "lat::count 2 # latency\n"
+                    "lat::mean " + printfNumber("%g", d.mean()) + "\n"
+                    "lat::min 0.1\n"
+                    "lat::max 0.333333\n"
+                    "lat::stddev " + printfNumber("%g", d.stddev()) +
+                        "\n");
 }
 
 TEST(Stats, DumpJsonRoundTrip)
@@ -192,4 +268,22 @@ TEST(Stats, DumpJsonEscapesAndNonFinite)
     root.dumpJson(os);
     minijson::Value v = minijson::parse(os.str());
     EXPECT_DOUBLE_EQ(v.at("odd\"name\\x").number, 0.0);
+    EXPECT_EQ(os.str(), "{\"odd\\\"name\\\\x\":0}");
+
+    // Finite numbers print as printf("%.17g"); NaN and infinities
+    // clamp to 0.
+    for (const NumberCase &c : numberCases) {
+        SCOPED_TRACE(c.g17);
+        const bool finite = c.v == c.v && c.v != inf_ && c.v != -inf_;
+        stats::Group g;
+        stats::Scalar x(&g, "v", "a value");
+        x = c.v;
+        stats::Histogram h(&g, "h", "a histogram");
+        h.init(1, 0.1);
+        std::string json;
+        g.dumpJson(json);
+        EXPECT_EQ(json, std::string("{\"v\":") + (finite ? c.g17 : "0") +
+                            ",\"h\":{\"total\":0,\"width\":"
+                            "0.10000000000000001,\"buckets\":[0]}}");
+    }
 }

@@ -311,6 +311,14 @@ struct RefCache
         return r;
     }
 
+    void
+    flushAll()
+    {
+        for (auto &l : lines)
+            l.state = LineState::Invalid;
+        victim.clear();
+    }
+
     /** Valid lines, main array then victim FIFO oldest first. */
     std::vector<CacheLine>
     contents() const
@@ -419,6 +427,63 @@ TEST(CacheVictimRing, MatchesDequeModelOnRandomOps)
             ASSERT_EQ(c.victimSize(), ref.victim.size());
             ASSERT_TRUE(sameLines(contents(c), ref.contents()))
                 << "step " << step;
+        }
+    }
+}
+
+TEST(CacheTouchedSets, WalkMatchesFullWalkOnRandomOps)
+{
+    // 256 sets span four bitmap words; the blocks in play sit in 24
+    // scattered sets, 4 tags each, so most sets are never filled.
+    constexpr unsigned sets = 256;
+    constexpr LineState states[] = {LineState::Shared,
+                                    LineState::Modified,
+                                    LineState::Exclusive,
+                                    LineState::Instr};
+    stats::Group root;
+    Cache c(sets * blockBytes, 6, &root);
+    RefCache ref(sets, 6);
+    Rng rng(99);
+    std::vector<Addr> blocks;
+    for (int i = 0; i < 24; ++i) {
+        const Addr set = rng.below(sets);
+        for (Addr tag = 0; tag < 4; ++tag)
+            blocks.push_back((set + tag * sets) * blockBytes);
+    }
+    std::vector<bool> filled(sets, false);   // since the last flush
+    for (int step = 0; step < 20000; ++step) {
+        const Addr a = blocks[rng.below(blocks.size())];
+        const unsigned op = static_cast<unsigned>(rng.below(100));
+        if (op < 35) {
+            DataBlock d = blk(rng.next(), rng.next());
+            LineState st = states[rng.below(4)];
+            c.fill(a, st, d);
+            ref.fill(a, st, d);
+            filled[c.indexOf(a)] = true;
+        } else if (op < 65) {
+            bool vh = false, rvh = false;
+            c.access(a, vh);
+            ref.access(a, rvh);
+        } else if (op < 80) {
+            c.remove(a);
+            ref.remove(a);
+        } else if (op < 99) {
+            c.downgrade(a);
+            ref.downgrade(a);
+        } else {
+            c.flushAll();
+            ref.flushAll();
+            filled.assign(sets, false);
+        }
+        // The touched-set walk visits exactly what a walk of every
+        // set and then the victim FIFO visits, in the same order.
+        ASSERT_TRUE(sameLines(contents(c), ref.contents()))
+            << "step " << step;
+        for (Addr b : blocks) {
+            ASSERT_EQ(c.setTouched(b), filled[c.indexOf(b)]);
+            if (!c.setTouched(b)) {
+                ASSERT_EQ(c.peek(b), nullptr) << "step " << step;
+            }
         }
     }
 }

@@ -49,6 +49,7 @@ REQUIRED_ENTRIES = [
     "BM_CacheVictimSwap",
     "BM_DirectoryEntryLookup",
     "BM_SnoopBusTransaction",
+    "BM_CellFixedCost",
     "micro_substrates",
 ]
 

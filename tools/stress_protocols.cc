@@ -49,6 +49,15 @@ using namespace swex;
 namespace
 {
 
+/**
+ * Every run's simulated-cycle budget unless --deadline overrides it:
+ * a livelocked protocol fails as `deadline` with its replay line
+ * instead of hanging the sweep. The clean grids finish far inside
+ * it (the longest directory cell takes ~102k cycles, the longest
+ * snoop cell ~2.4k), and so do the fault tier's retransmissions.
+ */
+constexpr Tick defaultDeadline = 20'000'000;
+
 struct Options
 {
     int seeds = 5;
@@ -67,13 +76,7 @@ struct Options
     unsigned drop = 0;         ///< per-mille drop rate
     unsigned dup = 0;          ///< per-mille duplication rate
     unsigned blackout = 0;     ///< per-mille blackout rate
-    Tick deadline = 0;         ///< per-run cycle budget (0 = none)
-
-    bool
-    faultsOn() const
-    {
-        return drop != 0 || dup != 0 || blackout != 0;
-    }
+    Tick deadline = defaultDeadline;   ///< per-run cycle budget
 };
 
 struct StressApp
@@ -216,6 +219,7 @@ stressRun(const StressApp &sa, const GridPoint &pt,
     spec.params = params;
     spec.nodes = opt.nodes;
     spec.victimEntries = 6;
+    spec.deadline = opt.deadline;
     if (pt.snoop) {
         spec.machineModel = MachineModel::Snoop;
         spec.snoopProtocol = pt.sp;
@@ -229,7 +233,6 @@ stressRun(const StressApp &sa, const GridPoint &pt,
             spec.faultDupPerMille = opt.dup;
             spec.faultBlackoutPerMille = opt.blackout;
             spec.faultSeed = seed;   // one seed replays the whole run
-            spec.deadline = opt.deadline;
         }
     }
 
@@ -327,9 +330,10 @@ stressRun(const StressApp &sa, const GridPoint &pt,
                     static_cast<unsigned char>(c)));
             replay = strfmt(
                 "swex_cli --app %s --nodes %d --protocol %s --bus %s "
-                "--audit",
+                "--deadline %llu --audit",
                 sa.name.c_str(), opt.nodes, proto.c_str(),
-                busArbitrationName(pt.arb));
+                busArbitrationName(pt.arb),
+                static_cast<unsigned long long>(opt.deadline));
         } else {
             replay = strfmt(
                 "swex_cli --app %s --nodes %d --protocol %s --victim "
@@ -342,8 +346,7 @@ stressRun(const StressApp &sa, const GridPoint &pt,
                 adversarial ? opt.drop : 0, adversarial ? opt.dup : 0,
                 adversarial ? opt.blackout : 0,
                 static_cast<unsigned long long>(seed),
-                static_cast<unsigned long long>(
-                    adversarial ? opt.deadline : 0));
+                static_cast<unsigned long long>(opt.deadline));
         }
         for (const auto &[k, v] : params)
             replay += strfmt(" --param %s=%s", k.c_str(), v.c_str());
@@ -374,6 +377,7 @@ cellSpec(const StressApp &sa, const GridPoint &pt, const Options &opt,
     spec.nodes = opt.nodes;
     spec.victimEntries = 6;
     spec.audit = true;
+    spec.deadline = opt.deadline;
     if (pt.snoop) {
         spec.machineModel = MachineModel::Snoop;
         spec.snoopProtocol = pt.sp;
@@ -387,7 +391,6 @@ cellSpec(const StressApp &sa, const GridPoint &pt, const Options &opt,
         spec.faultDupPerMille = opt.dup;
         spec.faultBlackoutPerMille = opt.blackout;
         spec.faultSeed = seed;
-        spec.deadline = opt.deadline;
     }
     return spec;
 }
@@ -439,9 +442,10 @@ usage()
         "  --drop <pm>       fault tier: per-mille wire drop rate\n"
         "  --dup <pm>        fault tier: per-mille duplication rate\n"
         "  --blackout <pm>   fault tier: per-mille blackout rate\n"
-        "  --deadline <c>    per-run cycle budget; exceeding it is a\n"
+        "  --deadline <c>    per-run cycle budget for every run; "
+        "exceeding it is a\n"
         "                    structured failure, never a hang "
-        "(default 20000000 when any fault rate is set)\n");
+        "(default 20000000)\n");
 }
 
 } // anonymous namespace
@@ -507,12 +511,6 @@ main(int argc, char **argv)
             return a == "--help" || a == "-h" ? 0 : 2;
         }
     }
-
-    // A faulty wire can livelock a run by design (every retransmission
-    // re-dropped); the fault tier therefore always runs under a
-    // deadline so the sweep finishes whatever the protocol does.
-    if (opt.faultsOn() && opt.deadline == 0)
-        opt.deadline = 20'000'000;
 
     setQuiet(true);
 
