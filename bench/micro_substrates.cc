@@ -5,9 +5,9 @@
  * a fig2-like delay mix), message pooling, cache lookup/fill and
  * victim swaps, directory entry lookup, extended-directory
  * operations, network injection, a snoop bus transaction, a
- * whole-machine WORKER iteration, and the fixed host cost of a sweep
- * cell outside its run. These track the host-side
- * performance of the simulator itself.
+ * whole-machine WORKER iteration, the fixed host cost of a sweep
+ * cell outside its run, and a result-cache hit. These track the
+ * host-side performance of the simulator itself.
  *
  * Besides the console table, results are merged into
  * BENCH_SUBSTRATES.json (override with SWEX_BENCH_JSON) so the
@@ -16,7 +16,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <chrono>
+#include <cstdint>
+#include <cstdio>
+#include <string>
 
 #include "apps/registry.hh"
 #include "apps/worker.hh"
@@ -24,6 +30,8 @@
 #include "bench_support.hh"
 #include "core/directory.hh"
 #include "core/ext_directory.hh"
+#include "exp/cache/result_cache.hh"
+#include "exp/runner.hh"
 #include "exp/spec.hh"
 #include "machine/mem_api.hh"
 #include "machine/snoop.hh"
@@ -418,6 +426,56 @@ BM_CellFixedCost(benchmark::State &state)
     state.counters["stats_dump_ns"] = dump / n;
 }
 BENCHMARK(BM_CellFixedCost)->Unit(benchmark::kMillisecond);
+
+/**
+ * A warm result-cache hit: repeated lookups of one stored 64-node
+ * WORKER record (wss 16, as bench/fig_cache_sweep's first row), the
+ * unit cost of every cell a cached re-sweep serves. Each lookup
+ * reads, checksums and rehydrates the whole entry.
+ */
+void
+BM_ResultCacheLookup(benchmark::State &state)
+{
+    setQuiet(true);
+    char dir_template[] = "/tmp/swex-micro-cache-XXXXXX";
+    const char *dir = ::mkdtemp(dir_template);
+    if (dir == nullptr) {
+        state.SkipWithError("cannot create a cache scratch directory");
+        return;
+    }
+    const ExperimentSpec spec{.id = "micro/cache/W16",
+                              .app = "worker",
+                              .params = {{"wss", "16"},
+                                         {"iterations", "10"}},
+                              .nodes = 64,
+                              .victimEntries = 6};
+    {
+        cache::ResultCache rcache(dir);
+        Runner runner(false);
+        runner.attachCache(&rcache);
+        runner.execute(spec);
+        const std::string path = rcache.entryPath(spec);
+        RunRecord out;
+        if (!rcache.lookup(spec, out)) {
+            state.SkipWithError("the stored record did not load");
+        } else {
+            for (auto _ : state) {
+                rcache.lookup(spec, out);
+                benchmark::DoNotOptimize(out.simCycles);
+            }
+            struct stat st;
+            const double bytes =
+                ::stat(path.c_str(), &st) == 0
+                    ? static_cast<double>(st.st_size) : 0.0;
+            state.counters["entry_bytes"] = bytes;
+            state.SetBytesProcessed(
+                static_cast<std::int64_t>(bytes) * state.iterations());
+        }
+        std::remove(path.c_str());
+    }
+    ::rmdir(dir);
+}
+BENCHMARK(BM_ResultCacheLookup)->Unit(benchmark::kMicrosecond);
 
 /**
  * Console output as usual, plus every finished run recorded into the

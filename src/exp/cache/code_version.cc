@@ -14,6 +14,10 @@ namespace cache
 namespace
 {
 
+// One digit short of the published FNV-1a 64-bit offset basis
+// (14695981039346656037). Every code fingerprint stored in a cache
+// entry header is derived from this value: keep it, or every
+// existing entry reads as stale.
 constexpr std::uint64_t fnvOffset = 1469598103934665603ull;
 constexpr std::uint64_t fnvPrime = 1099511628211ull;
 

@@ -9,16 +9,20 @@
  *
  * The header carries the (spec key, code fingerprint) pair the entry
  * was stored under, re-validated at load time so a renamed or
- * misplaced file can never serve the wrong cell. A trailing FNV-1a
- * checksum covers every preceding byte; any mismatch, truncation, or
- * unknown version is a structured error, which the cache treats as a
- * miss (recompute and overwrite), never a crash. An entry written by
- * an older layout version reads as Stale, like a moved fingerprint.
+ * misplaced file can never serve the wrong cell. A trailing 64-bit
+ * checksum (entryChecksum, XXH64's word-at-a-time four-lane
+ * construction) covers every preceding byte. A load checks magic,
+ * then version, then checksum, then the key pair; any mismatch,
+ * truncation, or unknown version is a structured error, which the
+ * cache treats as a miss (recompute and overwrite), never a crash. An
+ * entry written by an older layout version reads as Stale, like a
+ * moved fingerprint, whatever checksum that layout sealed it with.
  */
 
 #ifndef SWEX_EXP_CACHE_RECORD_IO_HH
 #define SWEX_EXP_CACHE_RECORD_IO_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -29,11 +33,19 @@ namespace swex
 namespace cache
 {
 
-/** Entry layout version. 2 dropped the execution-mode string; an
+/** Entry layout version. 2 dropped the execution-mode string; 3
+ *  replaced the byte-serial FNV-1a trailer with entryChecksum. An
  *  entry of an older version loads as Stale. */
-constexpr std::uint32_t recordVersion = 2;
+constexpr std::uint32_t recordVersion = 3;
 constexpr char recordMagic[8] = {'S', 'W', 'E', 'X', 'R', 'E', 'C',
                                  '1'};
+
+/**
+ * The entry trailer: XXH64 (seed 0) of @p n bytes at @p data, read
+ * as little-endian 64-bit words in four independent lanes. Its values
+ * are part of the on-disk contract (RecordIo.ChecksumIsPinned).
+ */
+std::uint64_t entryChecksum(const void *data, std::size_t n);
 
 /**
  * Serialize @p record under (@p spec_key, @p code_fp) and atomically
@@ -55,10 +67,12 @@ enum class LoadStatus
 };
 
 /**
- * Load and fully validate @p path: magic, version, the stored
- * (spec key, code fingerprint) against the expected pair, and the
- * whole-file checksum. On anything but Ok, @p err holds a structured
- * reason and @p out is untouched.
+ * Load and fully validate @p path, in this order: magic, version
+ * (older: Stale; newer: Corrupt), the whole-file checksum, and the
+ * stored (spec key, code fingerprint) against the expected pair. The
+ * file is read with one open, fstat and read into a buffer of its
+ * exact size. On anything but Ok, @p err holds a structured reason
+ * and @p out is untouched.
  */
 LoadStatus loadRecord(const std::string &path, RunRecord &out,
                       std::uint64_t spec_key, std::uint64_t code_fp,

@@ -22,6 +22,10 @@ namespace cache
 namespace
 {
 
+// One digit short of the published FNV-1a 64-bit offset basis
+// (14695981039346656037). Every spec key, and so every cache entry's
+// file name, is derived from this value (ResultCache.SpecKeyIsPinned):
+// keep it, or every existing entry is orphaned.
 constexpr std::uint64_t fnvOffset = 1469598103934665603ull;
 constexpr std::uint64_t fnvPrime = 1099511628211ull;
 
@@ -225,13 +229,20 @@ ResultCache::specKey(const ExperimentSpec &spec)
 std::string
 ResultCache::entryPath(const ExperimentSpec &spec) const
 {
+    return entryPath(spec, specKey(spec));
+}
+
+std::string
+ResultCache::entryPath(const ExperimentSpec &spec,
+                       std::uint64_t spec_key) const
+{
     // Addressed by spec key alone; the code fingerprint lives in the
     // entry header. A component bump therefore finds the old file,
     // reads it as Stale (counted, deleted), and the recompute's store
     // replaces it in place — one entry per cell, never an
     // ever-growing sibling per code version.
-    return _dir + "/" + fileSafe(spec.app) + "-" +
-           hex16(specKey(spec)) + ".swexrec";
+    return _dir + "/" + fileSafe(spec.app) + "-" + hex16(spec_key) +
+           ".swexrec";
 }
 
 bool
@@ -244,10 +255,12 @@ ResultCache::contains(const ExperimentSpec &spec) const
 bool
 ResultCache::lookup(const ExperimentSpec &spec, RunRecord &out) const
 {
-    const std::string path = entryPath(spec);
+    // specKey builds the cell's machine config: compute it once.
+    const std::uint64_t key = specKey(spec);
+    const std::string path = entryPath(spec, key);
     std::string err;
-    switch (loadRecord(path, out, specKey(spec),
-                       codeFingerprint(spec, _versions), err)) {
+    switch (loadRecord(path, out, key, codeFingerprint(spec, _versions),
+                       err)) {
       case LoadStatus::Ok:
         // Touch the entry so "oldest mtime" means least recently
         // *used*: a hot cell survives LRU eviction however long ago
@@ -279,7 +292,8 @@ bool
 ResultCache::store(const ExperimentSpec &spec, const RunRecord &record,
                    std::string &err) const
 {
-    if (!saveRecord(entryPath(spec), record, specKey(spec),
+    const std::uint64_t key = specKey(spec);
+    if (!saveRecord(entryPath(spec, key), record, key,
                     codeFingerprint(spec, _versions), err)) {
         _storeFailures.fetch_add(1, std::memory_order_relaxed);
         return false;

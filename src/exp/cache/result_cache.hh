@@ -133,6 +133,10 @@ class ResultCache
     void enforceBudget() const;
 
   private:
+    /** entryPath() for a spec key the caller already computed. */
+    std::string entryPath(const ExperimentSpec &spec,
+                          std::uint64_t spec_key) const;
+
     std::string _dir;
     CodeVersions _versions;
     Budget _budget;

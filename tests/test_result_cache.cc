@@ -5,7 +5,9 @@
  * byte-identical canonical document a direct run emits, invalidation
  * is component-scoped (a directory bump leaves snoop cells warm),
  * corrupt and older-layout entries fall back to recompute-and-replace,
- * spec keys are pinned, and the warm path is --jobs invariant.
+ * spec keys and entry checksums are pinned, every bit flip or
+ * truncation of a real entry is caught, and the warm path is --jobs
+ * invariant.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 #include <string>
 #include <sys/stat.h>
 #include <thread>
+#include <unistd.h>
 #include <vector>
 
 #include "base/logging.hh"
@@ -104,12 +107,16 @@ spit(const std::string &path, const std::vector<std::uint8_t> &raw)
 {
     std::FILE *f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(raw.data(), 1, raw.size(), f), raw.size());
+    // An empty vector's data() may be null, which fwrite must not get.
+    if (!raw.empty())
+        ASSERT_EQ(std::fwrite(raw.data(), 1, raw.size(), f), raw.size());
     std::fclose(f);
 }
 
 /** Overwrite the entry header's version field of @p raw and reseal
- *  the trailing FNV-1a checksum, so only the version is wrong. */
+ *  it with the byte-serial FNV-1a trailer that version 2 entries
+ *  carried. A load reads the version before it checks the checksum,
+ *  so an older version reads as Stale and a newer one as Corrupt. */
 void
 setEntryVersion(std::vector<std::uint8_t> &raw, std::uint32_t version)
 {
@@ -187,6 +194,129 @@ TEST(RecordIo, ConcurrentSameKeyStoresLeaveACompleteEntry)
     EXPECT_EQ(out.id, "race/" + std::to_string(t));
     EXPECT_EQ(out.imageHash, 0xabcd0000 + t);
     EXPECT_EQ(out.stallSummary.size(), 16 * (t + 1));
+}
+
+// The checksum is part of the on-disk contract, like the spec keys:
+// these are the values entryChecksum gave fixed byte patterns when it
+// was written, across the short-input tail paths and the 32-byte
+// four-lane stripe boundary. The empty input, "a" and "abc" give
+// XXH64's published test vectors, so the construction is the
+// reference one.
+TEST(RecordIo, ChecksumIsPinned)
+{
+    EXPECT_EQ(cache::entryChecksum("a", 1), 0xd24ec4f1a98c6e5bull);
+    EXPECT_EQ(cache::entryChecksum("abc", 3), 0x44bc2cf5ad770999ull);
+
+    std::vector<std::uint8_t> pattern(4096);
+    for (std::size_t i = 0; i < pattern.size(); ++i)
+        pattern[i] = static_cast<std::uint8_t>(i * 131 + 7);
+    const std::pair<std::size_t, std::uint64_t> pinned[] = {
+        {0, 0xef46db3751d8e999ull},
+        {1, 0xa96c7f0ce858bbb7ull},
+        {31, 0x6711d55e306b5d8full},
+        {32, 0x07f7b8e3bc5d6e25ull},
+        {33, 0x09f85eeb4e1cbe9full},
+        {4096, 0xcf05adf75aca30cfull},
+    };
+    for (const auto &[len, sum] : pinned)
+        EXPECT_EQ(cache::entryChecksum(pattern.data(), len), sum)
+            << len << " bytes";
+}
+
+// A real 64-node WORKER entry (a few hundred KB, as a Figure-4 sweep
+// stores) must never load as Ok once any bit of it is flipped or it
+// is cut short anywhere, the checksum trailer included.
+TEST(RecordIo, ChecksumCatchesBitFlipsAndTruncation)
+{
+    setQuiet(true);
+    const ExperimentSpec spec{.id = "cache/flip",
+                              .app = "worker",
+                              .params = {{"wss", "16"},
+                                         {"iterations", "10"}},
+                              .nodes = 64,
+                              .victimEntries = 6};
+    Runner runner;
+    const RunRecord rec = runner.execute(spec);
+    ASSERT_TRUE(rec.verified);
+
+    const std::string path = scratchDir("flip") + "/entry.swexrec";
+    constexpr std::uint64_t specKey = 0x1234;
+    constexpr std::uint64_t codeFp = 0x5678;
+    std::string err;
+    ASSERT_TRUE(cache::saveRecord(path, rec, specKey, codeFp, err)) << err;
+    const std::vector<std::uint8_t> whole = slurp(path);
+    ASSERT_GT(whole.size(), 64u * 1024);
+    RunRecord out;
+    ASSERT_EQ(cache::loadRecord(path, out, specKey, codeFp, err),
+              cache::LoadStatus::Ok) << err;
+    EXPECT_EQ(canonicalJson(out), canonicalJson(rec));
+
+    // Flip one bit in place, load, and flip it back.
+    const int fd = ::open(path.c_str(), O_WRONLY);
+    ASSERT_GE(fd, 0);
+    auto flipLoads = [&](std::size_t at, int bit) {
+        const std::uint8_t bad =
+            whole[at] ^ static_cast<std::uint8_t>(1u << bit);
+        EXPECT_EQ(::pwrite(fd, &bad, 1, static_cast<off_t>(at)), 1);
+        const cache::LoadStatus st =
+            cache::loadRecord(path, out, specKey, codeFp, err);
+        EXPECT_EQ(::pwrite(fd, &whole[at], 1, static_cast<off_t>(at)),
+                  1);
+        return st;
+    };
+    std::vector<std::size_t> offsets;
+    for (std::size_t i = 0; i < 64; ++i) {
+        offsets.push_back(i);
+        offsets.push_back(whole.size() - 1 - i);
+    }
+    for (std::size_t i = 64; i + 64 < whole.size(); i += 509)
+        offsets.push_back(i);
+    for (std::size_t at : offsets) {
+        for (int bit = 0; bit < 8; ++bit)
+            EXPECT_NE(flipLoads(at, bit), cache::LoadStatus::Ok)
+                << "bit " << bit << " of byte " << at;
+    }
+    ::close(fd);
+    ASSERT_EQ(cache::loadRecord(path, out, specKey, codeFp, err),
+              cache::LoadStatus::Ok) << "flips not undone: " << err;
+
+    const std::size_t n = whole.size();
+    for (std::size_t len : {std::size_t{0}, std::size_t{7},
+                            std::size_t{11}, std::size_t{35},
+                            std::size_t{36}, std::size_t{4096}, n / 2,
+                            n - 9, n - 8, n - 5, n - 1}) {
+        spit(path, std::vector<std::uint8_t>(
+                       whole.begin(),
+                       whole.begin() + static_cast<std::ptrdiff_t>(len)));
+        EXPECT_NE(cache::loadRecord(path, out, specKey, codeFp, err),
+                  cache::LoadStatus::Ok) << "truncated to " << len;
+    }
+}
+
+// An entry exactly as the version-2 layout wrote it (the same body,
+// sealed with a byte-serial FNV-1a trailer) is superseded, not
+// damaged: it reads as Stale, whatever its old checksum says. (The
+// cache-level path, counted stale and deleted, is
+// ResultCache.OlderEntryVersionReadsAsStale.)
+TEST(RecordIo, ParentLayoutEntryReadsAsStale)
+{
+    setQuiet(true);
+    const std::string path = scratchDir("v2") + "/entry.swexrec";
+    RunRecord rec;
+    rec.id = "cache/v2";
+    rec.app = "worker";
+    rec.verified = true;
+    rec.statsJson = std::string(1000, 'j');
+    std::string err;
+    ASSERT_TRUE(cache::saveRecord(path, rec, 1, 2, err)) << err;
+
+    auto v2 = slurp(path);
+    setEntryVersion(v2, 2);
+    spit(path, v2);
+    RunRecord out;
+    EXPECT_EQ(cache::loadRecord(path, out, 1, 2, err),
+              cache::LoadStatus::Stale) << err;
+    EXPECT_NE(err.find("version 2"), std::string::npos) << err;
 }
 
 TEST(ResultCache, MissThenStoreThenByteIdenticalHit)

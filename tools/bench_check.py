@@ -50,6 +50,7 @@ REQUIRED_ENTRIES = [
     "BM_DirectoryEntryLookup",
     "BM_SnoopBusTransaction",
     "BM_CellFixedCost",
+    "BM_ResultCacheLookup",
     "micro_substrates",
 ]
 
